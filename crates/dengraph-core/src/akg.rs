@@ -10,7 +10,11 @@
 //!    Section 3.2.1 — (1) pairwise among this quantum's bursty keywords and
 //!    (2) between AKG keywords occurring this quantum and their existing
 //!    neighbours — adding, re-weighting or removing edges against the
-//!    threshold τ, and
+//!    threshold τ.  Set 1 is not scored as a Cartesian product: a pair
+//!    whose window sketches share no minimum has correlation 0 < τ and
+//!    cannot gain an edge, so only the pairs a self-join of the sketches on
+//!    their minima returns are scored (see "Shared-minimum join" below),
+//!    and
 //! 4. lazily demotes AKG keywords that lost all their edges and are no
 //!    longer bursty (the hysteresis rule keeps cluster members alive even
 //!    when their frequency dips).
@@ -28,9 +32,31 @@
 //! fans out over shards per [`DetectorConfig::parallelism`]; because
 //! results are collected in input order and applied canonically, the
 //! parallel path is bit-identical to the serial one.
+//!
+//! ## Shared-minimum join
+//!
+//! The paper admits an edge only when the two keywords' min-hash sketches
+//! share a minimum, and the cache scores every other pair 0.  So instead
+//! of materialising the `|set1|²/2` bursty pairs, the score phase runs a
+//! self-join on the sketch minimum ([`shared_minimum_pairs`]): one
+//! `(minimum, slot)` entry per minimum, sorted, each run of equal minima
+//! yielding the slot pairs inside it.  The result is exactly the Cartesian
+//! pairs that pass [`MinHashSketch::shares_minimum`], in the same
+//! lexicographic order, so the apply phase emits the same deltas in the
+//! same order — a dropped pair would have scored 0, and a set-1 pair below
+//! τ is a no-op.  Two cases keep the full product: the
+//! `exact_edge_correlation` ablation (exact Jaccard can be non-zero without
+//! a shared minimum) and τ = 0 (a zero score would admit an edge).  Set 2
+//! is always scored in full, because its existing edges can be removed.
+//!
+//! One divergence from Section 3.2.1 is carried as-is: an existing edge
+//! between two keywords that are both bursty is never removed when its
+//! correlation falls below τ, because set 2 skips set-1 pairs and the
+//! set-1 apply loop ignores scores below τ.
 
 use dengraph_graph::fxhash::FxHashSet;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
+use dengraph_minhash::kernel::shared_minimum_pairs;
 use dengraph_minhash::MinHashSketch;
 use dengraph_parallel::par_map;
 use dengraph_stream::UserId;
@@ -209,7 +235,9 @@ impl GraphDelta {
 pub struct AkgQuantumStats {
     /// Keywords that were bursty this quantum.
     pub bursty_keywords: usize,
-    /// Candidate pairs whose correlation was evaluated.
+    /// Candidate pairs whose correlation was actually scored: the set-1
+    /// pairs sharing a sketch minimum (every set-1 pair under
+    /// `exact_edge_correlation` or τ = 0) plus every set-2 edge pair.
     pub pairs_evaluated: usize,
     /// Edges added this quantum.
     pub edges_added: usize,
@@ -340,6 +368,17 @@ impl<'a> CorrelationCache<'a> {
             involved,
             data,
             empty: MinHashSketch::new(window.sketch_size()),
+        }
+    }
+
+    /// Ascending minima of a cached keyword's window sketch (empty for a
+    /// keyword absent from the window), or `None` for the exact cache.
+    fn minima(&self, keyword: KeywordId) -> Option<&[u64]> {
+        let slot = self.slot(keyword);
+        match &self.data {
+            CacheData::Borrowed(sketches) => Some(sketches[slot].unwrap_or(&self.empty).minima()),
+            CacheData::Owned(sketches) => Some(sketches[slot].minima()),
+            CacheData::Exact(_) => None,
         }
     }
 
@@ -576,6 +615,8 @@ impl AkgMaintainer {
             ref mut edge_pairs,
             ref mut all_pairs,
             ref mut involved,
+            ref mut join,
+            ref mut join_pairs,
             ..
         } = *scratch;
         deltas.clear();
@@ -640,18 +681,12 @@ impl AkgMaintainer {
         let score_start = std::time::Instant::now();
 
         // --- 3. candidate collection (read-only) ------------------------------
-        // Exactly the two candidate sets of Section 3.2.1: (1) pairwise
-        // among this quantum's bursty keywords and (2) existing edges of
-        // AKG keywords seen this quantum (skipping pairs already covered
-        // by set 1).  Collected before any edge mutation so the score
-        // phase can run on an immutable snapshot.  `set1` is sorted, so
-        // membership is a binary search.
-        bursty_pairs.clear();
-        for i in 0..set1.len() {
-            for j in (i + 1)..set1.len() {
-                bursty_pairs.push((set1[i], set1[j]));
-            }
-        }
+        // The two candidate sets of Section 3.2.1: (1) pairwise among this
+        // quantum's bursty keywords and (2) existing edges of AKG keywords
+        // seen this quantum (skipping pairs already covered by set 1).
+        // Collected before any edge mutation so the score phase can run on
+        // an immutable snapshot.  `set1` is sorted, so membership is a
+        // binary search.
         edge_pairs.clear();
         for &keyword in set2.iter() {
             let keyword_bursty = set1.binary_search(&keyword).is_ok();
@@ -672,6 +707,32 @@ impl AkgMaintainer {
         // canonicalise + dedup so each pair is evaluated exactly once.
         edge_pairs.sort_unstable();
         edge_pairs.dedup();
+        involved.clear();
+        involved.extend_from_slice(set1);
+        involved.extend(edge_pairs.iter().flat_map(|&(a, b)| [a, b]));
+        involved.sort_unstable();
+        involved.dedup();
+        let cache = CorrelationCache::build(&self.config, window, involved);
+
+        // Set 1 through the shared-minimum join (module docs): exactly the
+        // Cartesian pairs that can score above 0, in the same order.
+        bursty_pairs.clear();
+        if self.config.exact_edge_correlation || tau <= 0.0 {
+            for i in 0..set1.len() {
+                for j in (i + 1)..set1.len() {
+                    bursty_pairs.push((set1[i], set1[j]));
+                }
+            }
+        } else {
+            let columns = set1.iter().map(|&k| cache.minima(k).unwrap_or_default());
+            shared_minimum_pairs(columns, join, join_pairs);
+            bursty_pairs.extend(join_pairs.iter().map(|&key| {
+                (
+                    set1[(key >> 32) as usize],
+                    set1[(key & 0xFFFF_FFFF) as usize],
+                )
+            }));
+        }
         stats.pairs_evaluated = bursty_pairs.len() + edge_pairs.len();
 
         // --- 3a. score phase (parallel, read-only) ----------------------------
@@ -680,11 +741,6 @@ impl AkgMaintainer {
         all_pairs.clear();
         all_pairs.extend(bursty_pairs.iter().copied());
         all_pairs.extend(edge_pairs.iter().copied());
-        involved.clear();
-        involved.extend(all_pairs.iter().flat_map(|&(a, b)| [a, b]));
-        involved.sort_unstable();
-        involved.dedup();
-        let cache = CorrelationCache::build(&self.config, window, involved);
         let all_scores = par_map(parallelism, all_pairs, |&(a, b)| cache.correlation(a, b));
         let (bursty_scores, edge_scores) = all_scores.split_at(bursty_pairs.len());
         self.score_ns += score_start.elapsed().as_nanos() as u64;
@@ -950,6 +1006,59 @@ mod tests {
         assert_eq!(stats.nodes_added, 2);
         assert_eq!(stats.edges_added, 1);
         assert!(stats.pairs_evaluated >= 1);
+    }
+
+    /// `bursty` keywords each used by three users of their own.
+    fn disjoint_bursts(bursty: &[u32], first_user: u64) -> Vec<Message> {
+        let mut messages = Vec::new();
+        for (i, &kw) in bursty.iter().enumerate() {
+            for u in 0..3 {
+                messages.push(msg(first_user + 10 * i as u64 + u, &[kw]));
+            }
+        }
+        messages
+    }
+
+    #[test]
+    fn only_exact_correlation_scores_the_full_bursty_product() {
+        for exact in [false, true] {
+            let cfg = DetectorConfig {
+                exact_edge_correlation: exact,
+                ..config()
+            };
+            let mut akg = AkgMaintainer::new(cfg.clone());
+            let mut window = window_for(&cfg);
+            // Quantum 0: the correlated pair (1, 2) plus five bursty
+            // keywords with disjoint users, so only (1, 2) shares a
+            // sketch minimum.
+            let mut messages = correlated_burst();
+            messages.extend(disjoint_bursts(&[10, 11, 12, 13, 14], 1_000));
+            step(&mut akg, &mut window, 0, &messages);
+            let stats = akg.last_stats();
+            assert_eq!(stats.bursty_keywords, 7);
+            assert_eq!(stats.pairs_evaluated, if exact { 7 * 6 / 2 } else { 1 });
+            assert!(akg.graph().contains_edge(node_of(k(1)), node_of(k(2))));
+            // Quantum 1: keyword 1 recurs below σ (set 2, one edge pair)
+            // next to four fresh disjoint bursts.
+            let mut messages = vec![msg(1, &[1])];
+            messages.extend(disjoint_bursts(&[20, 21, 22, 23], 2_000));
+            step(&mut akg, &mut window, 1, &messages);
+            let stats = akg.last_stats();
+            assert_eq!(stats.bursty_keywords, 4);
+            assert_eq!(stats.pairs_evaluated, if exact { 4 * 3 / 2 + 1 } else { 1 });
+        }
+        // τ = 0 admits zero-score pairs, so the join must not prune.
+        let cfg = DetectorConfig {
+            edge_correlation_threshold: 0.0,
+            ..config()
+        };
+        let mut akg = AkgMaintainer::new(cfg.clone());
+        let mut window = window_for(&cfg);
+        let mut messages = correlated_burst();
+        messages.extend(disjoint_bursts(&[10, 11, 12, 13, 14], 1_000));
+        step(&mut akg, &mut window, 0, &messages);
+        assert_eq!(akg.last_stats().pairs_evaluated, 7 * 6 / 2);
+        assert_eq!(akg.graph().edge_count(), 7 * 6 / 2);
     }
 
     #[test]

@@ -123,15 +123,6 @@ impl Cluster {
         }
     }
 
-    /// Neighbours of `n` along cluster edges, sorted ascending so that
-    /// consumers folding floats over them (e.g. [`crate::ranking`]) are
-    /// independent of the edge set's hash-iteration order.
-    pub fn cluster_neighbors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.edges.iter().filter_map(|e| e.other(n)).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Does the cluster's own edge set provide a path of length at most
     /// `max_len` between `a` and `b` that does not use the direct edge
     /// `(a, b)`?  This is the cluster-local short-cycle check used by the
@@ -346,11 +337,8 @@ mod tests {
     }
 
     #[test]
-    fn cluster_neighbors_and_membership() {
+    fn cluster_membership_queries() {
         let c = cluster_from(&[(1, 2), (2, 3), (1, 3)]);
-        let mut nbrs = c.cluster_neighbors(n(1));
-        nbrs.sort();
-        assert_eq!(nbrs, vec![n(2), n(3)]);
         assert!(c.contains_node(n(1)));
         assert!(!c.contains_node(n(9)));
         assert!(c.contains_edge(EdgeKey::new(n(2), n(1))));

@@ -24,7 +24,6 @@ use crate::cluster::ClusterMaintainer;
 use crate::config::DetectorConfig;
 use crate::event::{DetectedEvent, EventRecord, EventTracker};
 use crate::keyword_state::{QuantumRecord, WindowState};
-use crate::ranking::{cluster_rank, cluster_support};
 use crate::scratch::ScratchArena;
 
 /// Summary of one processed quantum.
@@ -780,9 +779,10 @@ impl EventDetector {
     /// window — so they are precomputed in one sharded pass before the
     /// serial rank-and-filter loop.  Returns the events plus the
     /// nanoseconds spent in the support pass and the rank/filter loop.
-    fn report_events(&self, quantum: u64) -> (Vec<DetectedEvent>, u64, u64) {
+    fn report_events(&mut self, quantum: u64) -> (Vec<DetectedEvent>, u64, u64) {
         let ranking_start = std::time::Instant::now();
         let graph = self.akg.graph();
+        let rank_scratch = &mut self.scratch.rank;
         let mut cluster_nodes: Vec<dengraph_graph::NodeId> = self
             .clusters
             .clusters()
@@ -805,15 +805,19 @@ impl EventDetector {
         };
         let ranking_ns = ranking_start.elapsed().as_nanos() as u64;
         let report_start = std::time::Instant::now();
-        let mut events: Vec<DetectedEvent> = Vec::new();
+        let mut events: Vec<DetectedEvent> = Vec::with_capacity(self.clusters.cluster_count());
         for cluster in self.clusters.clusters() {
-            let rank = cluster_rank(cluster, graph, &support);
+            let rank = rank_scratch.rank(cluster, graph, &support);
             if rank < self.config.rank_report_threshold() {
                 continue;
             }
-            let mut keywords: Vec<KeywordId> =
-                cluster.nodes.iter().map(|&n| keyword_of(n)).collect();
-            keywords.sort();
+            // `keyword_of` preserves order, so the ranked node column
+            // gives the keywords already sorted.
+            let keywords: Vec<KeywordId> = rank_scratch
+                .sorted_nodes()
+                .iter()
+                .map(|&n| keyword_of(n))
+                .collect();
             if self.config.require_noun {
                 if let Some((interner, heuristic)) = &self.noun_filter {
                     let has_noun = keywords
@@ -829,13 +833,15 @@ impl EventDetector {
                 cluster_id: cluster.id,
                 quantum,
                 rank,
-                support: cluster_support(cluster, &support),
+                support: rank_scratch.support(),
                 keywords,
             });
         }
         // Best rank first; equal ranks tie-break on cluster id so the
-        // report order never depends on hash-map iteration order.
-        events.sort_by(|a, b| {
+        // report order never depends on hash-map iteration order.  Ids
+        // are unique, so the order is total and an unstable sort gives
+        // the one sorted permutation without a merge buffer.
+        events.sort_unstable_by(|a, b| {
             b.rank
                 .total_cmp(&a.rank)
                 .then(a.cluster_id.cmp(&b.cluster_id))

@@ -9,11 +9,49 @@
 //! which do not evolve and have monotonically decreasing rank scores are
 //! considered spurious".
 
+use std::collections::hash_map::Entry;
+
 use dengraph_graph::fxhash::FxHashMap;
 use dengraph_json::Value;
 use dengraph_text::KeywordId;
 
 use crate::cluster::ClusterId;
+
+/// Merges the strictly ascending `new` into the strictly ascending `all`
+/// in place, keeping `all` strictly ascending: one counting walk, then one
+/// backward merge pass into the grown tail.
+fn merge_into_sorted(all: &mut Vec<KeywordId>, new: &[KeywordId]) {
+    debug_assert!(new.windows(2).all(|w| w[0] < w[1]), "keywords are sorted");
+    let mut missing = 0;
+    let mut i = 0;
+    for &k in new {
+        while i < all.len() && all[i] < k {
+            i += 1;
+        }
+        if i == all.len() || all[i] != k {
+            missing += 1;
+        }
+    }
+    if missing == 0 {
+        return;
+    }
+    let (mut i, mut j) = (all.len(), new.len());
+    all.resize(i + missing, KeywordId(0));
+    let mut out = all.len();
+    while j > 0 {
+        out -= 1;
+        if i > 0 && all[i - 1] >= new[j - 1] {
+            if all[i - 1] == new[j - 1] {
+                j -= 1;
+            }
+            all[out] = all[i - 1];
+            i -= 1;
+        } else {
+            all[out] = new[j - 1];
+            j -= 1;
+        }
+    }
+}
 
 fn keywords_to_json(keywords: &[KeywordId]) -> Value {
     Value::arr(keywords.iter().map(|k| Value::from(k.0)))
@@ -306,12 +344,12 @@ impl EventTracker {
         Self::default()
     }
 
-    /// Records one per-quantum event snapshot.
+    /// Records one per-quantum event snapshot.  `event.keywords` must be
+    /// strictly ascending, as the detector reports them: a changed set is
+    /// merged into the record's sorted keyword union in one pass.
     pub fn observe(&mut self, event: &DetectedEvent) {
-        let record = self
-            .records
-            .entry(event.cluster_id)
-            .or_insert_with(|| EventRecord {
+        let record = match self.records.entry(event.cluster_id) {
+            Entry::Vacant(slot) => slot.insert(EventRecord {
                 cluster_id: event.cluster_id,
                 first_seen: event.quantum,
                 last_seen: event.quantum,
@@ -321,15 +359,17 @@ impl EventTracker {
                 peak_rank: 0.0,
                 peak_support: 0,
                 initial_size: event.keywords.len(),
-            });
-        record.last_seen = event.quantum;
-        record.keywords = event.keywords.clone();
-        for k in &event.keywords {
-            if !record.all_keywords.contains(k) {
-                record.all_keywords.push(*k);
+            }),
+            Entry::Occupied(slot) => {
+                let record = slot.into_mut();
+                if record.keywords != event.keywords {
+                    record.keywords.clone_from(&event.keywords);
+                    merge_into_sorted(&mut record.all_keywords, &event.keywords);
+                }
+                record
             }
-        }
-        record.all_keywords.sort();
+        };
+        record.last_seen = event.quantum;
         record.rank_history.push((event.quantum, event.rank));
         if event.rank > record.peak_rank {
             record.peak_rank = event.rank;
@@ -464,6 +504,33 @@ mod tests {
         assert_eq!(r.all_keywords, k(&[1, 2, 3, 4]));
         assert!(r.evolved());
         assert!(!r.is_spurious_posthoc());
+    }
+
+    #[test]
+    fn keyword_merge_matches_scan_and_resort() {
+        // The reference is the contains-scan + re-sort union the merge
+        // replaced; shrinking, shifting and interleaving sets all hit it.
+        let sets: [&[u32]; 6] = [
+            &[5, 9],
+            &[1, 5, 7],
+            &[7],
+            &[0, 2, 4, 6, 8, 10],
+            &[3, 11],
+            &[],
+        ];
+        let mut all = k(&[4, 9]);
+        let mut reference = all.clone();
+        for set in sets {
+            let new = k(set);
+            merge_into_sorted(&mut all, &new);
+            for kw in &new {
+                if !reference.contains(kw) {
+                    reference.push(*kw);
+                }
+            }
+            reference.sort();
+            assert_eq!(all, reference, "after merging {set:?}");
+        }
     }
 
     #[test]

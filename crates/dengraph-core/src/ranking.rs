@@ -16,6 +16,7 @@
 //! Dense, strongly correlated, well-supported clusters therefore rank high;
 //! accidental clusters rank low.
 
+use dengraph_graph::dynamic_graph::EdgeKey;
 use dengraph_graph::DynamicGraph;
 use dengraph_graph::NodeId;
 
@@ -37,28 +38,76 @@ impl<F: Fn(NodeId) -> usize> NodeSupport for F {
 ///
 /// `graph` supplies the edge-correlation weights of the cluster's edges;
 /// `support` supplies the per-node user counts.  Returns 0.0 for an empty
-/// cluster.
+/// cluster.  The detector ranks through a reused scratch node column
+/// instead, bit for bit the same.
 pub fn cluster_rank<S: NodeSupport>(cluster: &Cluster, graph: &DynamicGraph, support: &S) -> f64 {
-    let n = cluster.size();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    // Sorted iteration: the f64 accumulation below is not associative, so
-    // summing in hash order would make the rank depend on how the node
-    // set happened to be built.
-    for node in cluster.sorted_nodes() {
-        let w = support.support(node) as f64;
-        // Diagonal contribution C_ii = 1.
-        let mut row = 1.0;
-        // Off-diagonal contributions: cluster edges incident to this node.
-        for other in cluster.cluster_neighbors(node) {
-            let ec = graph.edge_weight(node, other).unwrap_or(0.0);
-            row += ec;
+    RankScratch::default().rank(cluster, graph, support)
+}
+
+/// Reusable buffers for ranking many clusters without allocating per
+/// cluster.
+#[derive(Debug, Default)]
+pub(crate) struct RankScratch {
+    /// The most recently ranked cluster's nodes, ascending.
+    nodes: Vec<NodeId>,
+    /// Its [`cluster_support`], summed in the same pass.
+    support: usize,
+}
+
+impl RankScratch {
+    /// Ranks `cluster` as [`cluster_rank`] does, bit for bit, in one pass
+    /// over its sorted node column.
+    ///
+    /// Each node's row is `1 + Σ EC` over its cluster neighbours in
+    /// ascending order and rows are summed in ascending node order: the
+    /// f64 accumulation is not associative, so the fold order is fixed by
+    /// sorted columns, never by the hash sets' iteration order.  A row
+    /// walks the node's AKG adjacency, which ascends, and keeps the
+    /// neighbours whose edge belongs to the cluster.  A cluster edge
+    /// missing from the AKG would contribute `EC = 0`, and adding 0 to a
+    /// row of at least 1 leaves it unchanged, so skipping it is exact.
+    pub fn rank<S: NodeSupport>(
+        &mut self,
+        cluster: &Cluster,
+        graph: &DynamicGraph,
+        support: &S,
+    ) -> f64 {
+        self.nodes.clear();
+        self.nodes.extend(cluster.nodes.iter().copied());
+        self.nodes.sort_unstable();
+        self.support = 0;
+        let n = self.nodes.len();
+        if n == 0 {
+            return 0.0;
         }
-        total += w * row;
+        let mut total = 0.0;
+        for &node in &self.nodes {
+            let node_support = support.support(node);
+            self.support += node_support;
+            let w = node_support as f64;
+            // Diagonal contribution C_ii = 1, then the cluster edges
+            // incident to this node.
+            let mut row = 1.0;
+            for (other, ec) in graph.neighbors_weighted(node) {
+                if cluster.contains_edge(EdgeKey::new(node, other)) {
+                    row += ec;
+                }
+            }
+            total += w * row;
+        }
+        total / n as f64
     }
-    total / n as f64
+
+    /// The nodes of the cluster last passed to [`Self::rank`], ascending.
+    pub fn sorted_nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// The [`cluster_support`] of the cluster last passed to
+    /// [`Self::rank`].
+    pub fn support(&self) -> usize {
+        self.support
+    }
 }
 
 /// Total support of a cluster: the number of distinct users behind its
@@ -172,6 +221,64 @@ mod tests {
         // Any real cluster (more support, more correlation) ranks above it.
         let better = cluster_rank(&c, &g, &|_: NodeId| sigma * 3);
         assert!(better > cfg.minimum_cluster_rank());
+    }
+
+    #[test]
+    fn scratch_rank_is_bit_identical_across_reuse() {
+        // A triangle plus a pendant square with distinct weights, so any
+        // change in fold order would show in the low bits.  The AKG also
+        // holds edges outside the cluster, which must not count.
+        let mut g = DynamicGraph::new();
+        g.add_edge(n(1), n(9), 0.77);
+        g.add_edge(n(3), n(0), 0.53);
+        let edges = [
+            (1, 2, 0.31),
+            (2, 3, 0.47),
+            (1, 3, 0.23),
+            (3, 4, 0.61),
+            (4, 5, 0.29),
+            (5, 3, 0.37),
+        ];
+        let mut edge_set: FxHashSet<EdgeKey> = FxHashSet::default();
+        for &(a, b, w) in &edges {
+            g.add_edge(n(a), n(b), w);
+            edge_set.insert(EdgeKey::new(n(a), n(b)));
+        }
+        let nodes: FxHashSet<NodeId> = (1..=5).map(n).collect();
+        let c = Cluster::new(ClusterId(0), nodes, edge_set, 0);
+        let support = |node: NodeId| 3 + node.0 as usize;
+        // Reference: rows folded per node over its sorted cluster
+        // neighbours, as the per-node neighbour scan did.
+        let mut expected = 0.0;
+        for node in 1..=5u32 {
+            let mut nbrs: Vec<u32> = edges
+                .iter()
+                .filter_map(|&(a, b, _)| {
+                    if a == node {
+                        Some(b)
+                    } else if b == node {
+                        Some(a)
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            nbrs.sort_unstable();
+            let mut row = 1.0;
+            for other in nbrs {
+                row += g.edge_weight(n(node), n(other)).unwrap();
+            }
+            expected += (3 + node) as f64 * row;
+        }
+        expected /= 5.0;
+        let mut scratch = RankScratch::default();
+        let (tri, tri_g) = triangle_cluster(0.5);
+        scratch.rank(&tri, &tri_g, &support);
+        let rank = scratch.rank(&c, &g, &support);
+        assert_eq!(rank.to_bits(), expected.to_bits());
+        assert_eq!(scratch.sorted_nodes(), &[n(1), n(2), n(3), n(4), n(5)]);
+        assert_eq!(scratch.support(), cluster_support(&c, &support));
+        assert_eq!(cluster_rank(&c, &g, &support).to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //! reason.
 
 use dengraph_graph::NodeId;
-use dengraph_minhash::SketchLanes;
+use dengraph_minhash::{JoinScratch, SketchLanes};
 use dengraph_stream::UserId;
 use dengraph_text::KeywordId;
 
 use crate::akg::GraphDelta;
 use crate::keyword_state::{PairSortScratch, RecordStorage};
+use crate::ranking::RankScratch;
 
 /// Reusable buffers for one detector's per-quantum pipeline.
 #[derive(Debug, Default)]
@@ -44,13 +45,20 @@ pub(crate) struct ScratchArena {
     pub set1: Vec<KeywordId>,
     /// Set 2 of Section 3.2.1: AKG keywords occurring this quantum, sorted.
     pub set2: Vec<KeywordId>,
-    /// Candidate pairs among set-1 keywords.
+    /// Candidate pairs among set-1 keywords: those sharing a sketch
+    /// minimum.
     pub bursty_pairs: Vec<(KeywordId, KeywordId)>,
+    /// Entry column and sort buffer of the shared-minimum join.
+    pub join: JoinScratch,
+    /// The join's output: packed `(i << 32) | j` indices into `set1`.
+    pub join_pairs: Vec<u64>,
     /// Candidate pairs along existing AKG edges.
     pub edge_pairs: Vec<(KeywordId, KeywordId)>,
     /// Both candidate sets concatenated for the single scoring fan-out.
     pub all_pairs: Vec<(KeywordId, KeywordId)>,
-    /// Keywords involved in any candidate pair, sorted + deduped — the
-    /// key column of the correlation cache.
+    /// Set 1 plus every set-2 pair endpoint, sorted + deduped — the key
+    /// column of the correlation cache.
     pub involved: Vec<KeywordId>,
+    /// Sorted node column for ranking each live cluster (stage 5).
+    pub rank: RankScratch,
 }

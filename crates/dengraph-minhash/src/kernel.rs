@@ -19,7 +19,11 @@
 //! * [`merge_walk`] — the shared overlap/estimator merge walk;
 //! * [`radix_sort_u64`] — an LSD radix sort for packed pair columns,
 //!   replacing the comparison `sort_unstable` in `QuantumRecord`
-//!   canonicalisation.
+//!   canonicalisation;
+//! * [`shared_minimum_pairs`] — the self-join of a set of sketches on
+//!   their minima: exactly the pairs that pass
+//!   [`MinHashSketch::shares_minimum`](crate::MinHashSketch::shares_minimum),
+//!   without scoring the Cartesian product.
 //!
 //! **Bit-identity is the contract.**  Every kernel produces exactly the
 //! same result as its scalar reference: the `p` smallest distinct hashes
@@ -265,6 +269,61 @@ pub fn radix_sort_u64(keys: &mut [u64], tmp: &mut Vec<u64>) {
         // The sorted column ended in `tmp`; copy it home.
         dst.copy_from_slice(src);
     }
+}
+
+/// Reusable buffers for [`shared_minimum_pairs`].
+#[derive(Debug, Default)]
+pub struct JoinScratch {
+    /// One `(minimum, slot)` entry per minimum of every input column.
+    entries: Vec<(u64, u32)>,
+    /// Ping-pong buffer for the radix sort of the packed pair keys.
+    tmp: Vec<u64>,
+}
+
+/// Self-join of sketch minima columns on equal minima.
+///
+/// `columns` yields one ascending minima column per slot, slot `i` being
+/// the `i`-th column.  On return `pairs` holds `(i << 32) | j` for every
+/// slot pair `i < j` whose columns share at least one value, ascending
+/// and de-duplicated.  That is exactly the Cartesian product filtered by
+/// [`MinHashSketch::shares_minimum`](crate::MinHashSketch::shares_minimum),
+/// in the same lexicographic order, but the work is proportional to the
+/// number of minima plus the number of pairs sharing one, not to the
+/// square of the slot count.
+///
+/// The join sorts one `(minimum, slot)` entry per minimum; every run of
+/// equal minima contributes all slot pairs inside it, and a pair sharing
+/// several minima is emitted once per shared value before the final
+/// sort + dedup.
+pub fn shared_minimum_pairs<'a, I>(columns: I, scratch: &mut JoinScratch, pairs: &mut Vec<u64>)
+where
+    I: IntoIterator<Item = &'a [u64]>,
+{
+    let JoinScratch { entries, tmp } = scratch;
+    entries.clear();
+    pairs.clear();
+    for (slot, column) in columns.into_iter().enumerate() {
+        debug_assert!(slot <= u32::MAX as usize, "slots are packed into 32 bits");
+        entries.extend(column.iter().map(|&m| (m, slot as u32)));
+    }
+    entries.sort_unstable();
+    let mut start = 0;
+    while start < entries.len() {
+        let minimum = entries[start].0;
+        let end = start + entries[start..].partition_point(|e| e.0 == minimum);
+        for (a, &(_, i)) in entries[start..end].iter().enumerate() {
+            for &(_, j) in &entries[start + a + 1..end] {
+                // Slots ascend inside a run; equal slots (a column with a
+                // repeated value) are not a pair.
+                if i != j {
+                    pairs.push((u64::from(i) << 32) | u64::from(j));
+                }
+            }
+        }
+        start = end;
+    }
+    radix_sort_u64(pairs, tmp);
+    pairs.dedup();
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ pub mod store;
 pub use batch::build_sketches;
 pub use hasher::{HashFamily, UserHasher};
 pub use jaccard::{exact_jaccard, exact_jaccard_sorted, overlap_coefficient_sorted};
-pub use kernel::SketchLanes;
+pub use kernel::{JoinScratch, SketchLanes};
 pub use sketch::MinHashSketch;
 pub use store::EpochSketchStore;
 

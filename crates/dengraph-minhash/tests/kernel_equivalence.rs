@@ -179,3 +179,100 @@ fn radix_sort_matches_comparison_sort() {
         assert_eq!(keys, reference, "radix sort diverged (round {round})");
     }
 }
+
+/// The Cartesian reference the shared-minimum join replaces: every pair
+/// `i < j` in lexicographic order, kept iff the sketches share a minimum.
+fn cartesian_sharing_pairs(sketches: &[MinHashSketch]) -> Vec<u64> {
+    let mut pairs = Vec::new();
+    for i in 0..sketches.len() {
+        for j in (i + 1)..sketches.len() {
+            if sketches[i].shares_minimum(&sketches[j]) {
+                pairs.push(((i as u64) << 32) | j as u64);
+            }
+        }
+    }
+    pairs
+}
+
+fn assert_join_matches_cartesian(
+    sketches: &[MinHashSketch],
+    scratch: &mut kernel::JoinScratch,
+    label: &str,
+) {
+    let mut joined = Vec::new();
+    kernel::shared_minimum_pairs(sketches.iter().map(|s| s.minima()), scratch, &mut joined);
+    assert_eq!(joined, cartesian_sharing_pairs(sketches), "{label}");
+}
+
+#[test]
+fn shared_minimum_join_matches_filtered_cartesian_product() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5A4E_D301);
+    let mut scratch = kernel::JoinScratch::default();
+    for case in 0..300 {
+        let n = rng.gen_range(0..60usize);
+        let p = [1usize, 2, 4, 16][case % 4];
+        // Small universes make shared minima common; large ones rare.
+        let universe = [4u64, 32, 1 << 20][case % 3];
+        let common = case % 5 == 0;
+        let sketches: Vec<MinHashSketch> = (0..n)
+            .map(|_| {
+                let mut sketch = MinHashSketch::new(p);
+                // Roughly one sketch in six stays empty.
+                let len = if rng.gen_range(0..6u32) == 0 {
+                    0
+                } else {
+                    rng.gen_range(1..24usize)
+                };
+                for _ in 0..len {
+                    sketch.insert_hash(rng.gen_range(0..universe) + 1);
+                }
+                if common && !sketch.is_empty() {
+                    // One minimum every non-empty sketch shares.
+                    sketch.insert_hash(0);
+                }
+                sketch
+            })
+            .collect();
+        assert_join_matches_cartesian(
+            &sketches,
+            &mut scratch,
+            &format!("case {case} (n {n}, p {p}, universe {universe})"),
+        );
+    }
+}
+
+#[test]
+fn shared_minimum_join_handles_degenerate_sketch_sets() {
+    let mut scratch = kernel::JoinScratch::default();
+    // p = 1 with one minimum shared by every keyword: the join is the
+    // full product.
+    let all_share: Vec<MinHashSketch> = (0..40)
+        .map(|i| {
+            let mut s = MinHashSketch::new(1);
+            s.insert_hash(7);
+            s.insert_hash(100 + i);
+            s
+        })
+        .collect();
+    assert_join_matches_cartesian(&all_share, &mut scratch, "one shared minimum");
+    let mut joined = Vec::new();
+    kernel::shared_minimum_pairs(
+        all_share.iter().map(|s| s.minima()),
+        &mut scratch,
+        &mut joined,
+    );
+    assert_eq!(joined.len(), 40 * 39 / 2);
+    // Only empty sketches: nothing shares anything.
+    let empty: Vec<MinHashSketch> = (0..10).map(|_| MinHashSketch::new(4)).collect();
+    assert_join_matches_cartesian(&empty, &mut scratch, "all empty");
+    // p = 1, pairwise distinct minima: no pair.
+    let distinct: Vec<MinHashSketch> = (0..10)
+        .map(|i| {
+            let mut s = MinHashSketch::new(1);
+            s.insert_hash(i);
+            s
+        })
+        .collect();
+    assert_join_matches_cartesian(&distinct, &mut scratch, "p = 1, distinct minima");
+    assert_join_matches_cartesian(&[], &mut scratch, "no sketches");
+}
