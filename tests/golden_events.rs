@@ -14,13 +14,17 @@
 //! * `clusters` — the final live clusters as `(id, sorted node set)`,
 //!   sorted by id;
 //! * `records` — the binary encoding of every [`EventRecord`] the tracker
-//!   holds at the end, in first-appearance order.
+//!   holds at the end, in first-appearance order;
+//! * `checkpoint` — the session's binary checkpoint after the run, which
+//!   pins the wire format of every persisted structure.
 //!
 //! A digest changes only on purpose.  When a change alters the output
 //! deliberately, update the constant from the failure message and say why
 //! in the change log.
 
-use dengraph_core::{DetectedEvent, DetectorBuilder, DetectorConfig, EventRecord, QuantumSummary};
+use dengraph_core::{
+    DetectedEvent, DetectorBuilder, DetectorConfig, EventRecord, QuantumSummary, WireFormat,
+};
 use dengraph_json::BinWriter;
 use dengraph_stream::generator::profiles::{
     dense_profile, es_profile, ground_truth_profile, tw_profile, ProfileScale,
@@ -43,10 +47,10 @@ impl Fnv1a {
     }
 }
 
-/// The four digests of one run, in the order `events, quanta, clusters,
-/// records`.
+/// The five digests of one run, in the order `events, quanta, clusters,
+/// records, checkpoint`.
 #[derive(Debug, PartialEq, Eq)]
-struct Digests([u64; 4]);
+struct Digests([u64; 5]);
 
 fn digest_events(summaries: &[QuantumSummary]) -> u64 {
     let mut h = Fnv1a::new();
@@ -102,24 +106,29 @@ fn run(profile: StreamProfile, config: DetectorConfig) -> Digests {
     let mut record_hash = Fnv1a::new();
     record_hash.write(w.as_slice());
 
+    let mut checkpoint_hash = Fnv1a::new();
+    checkpoint_hash.write(&session.checkpoint_bytes(WireFormat::Binary));
+
     Digests([
         digest_events(&summaries),
         digest_quanta(&summaries),
         cluster_hash.0,
         record_hash.0,
+        checkpoint_hash.0,
     ])
 }
 
-fn assert_golden(label: &str, actual: Digests, expected: [u64; 4]) {
+fn assert_golden(label: &str, actual: Digests, expected: [u64; 5]) {
     assert_eq!(
         actual,
         Digests(expected),
-        "{label}: golden digests changed (events, quanta, clusters, records); \
-         actual = [{:#018x}, {:#018x}, {:#018x}, {:#018x}]",
+        "{label}: golden digests changed (events, quanta, clusters, records, checkpoint); \
+         actual = [{:#018x}, {:#018x}, {:#018x}, {:#018x}, {:#018x}]",
         actual.0[0],
         actual.0[1],
         actual.0[2],
         actual.0[3],
+        actual.0[4],
     );
 }
 
@@ -137,6 +146,7 @@ fn tw_profile_output_is_pinned() {
             0xc52b26360b3d9090,
             0x753541493ca40031,
             0xd1996b260161b785,
+            0xaaec9efee0f20fc2,
         ],
     );
 }
@@ -155,6 +165,7 @@ fn es_profile_output_is_pinned() {
             0x4aa3907e67a66b33,
             0x24d76877de4d5f3b,
             0xfa2a4eac6d2768dd,
+            0xb95ce476ff276ab6,
         ],
     );
 }
@@ -173,6 +184,7 @@ fn dense_profile_output_is_pinned() {
             0x9c045d451cc7308c,
             0x55ae901a6087508d,
             0xe8c83750f9008381,
+            0x91d0050dfc2dc66b,
         ],
     );
 }
@@ -191,6 +203,7 @@ fn ground_truth_profile_output_is_pinned() {
             0xd508308acfae2c16,
             0x3afdb8872027e95d,
             0x39671a40b3a09268,
+            0x1fbdfed9995e5943,
         ],
     );
 }
