@@ -3,10 +3,7 @@
 //! headline ratios per PR:
 //!
 //! * **serial vs sharded** (the `Parallelism` knob) — msgs/sec at 1 and 4
-//!   threads,
-//! * **rebuild vs incremental window index** (the `WindowIndexMode` knob)
-//!   — msgs/sec with per-read window walks vs the incremental per-keyword
-//!   index, and
+//!   threads, and
 //! * **durable journal cost** — write overhead of the file-backed WAL
 //!   (`journal_write_overhead_pct`, gated at ≤ 10% under `Fsync::Never`)
 //!   and crash-recovery latency from the full trace's journal
@@ -14,10 +11,9 @@
 //!
 //! A second scenario row, `dense`, runs the dense-AKG stress trace
 //! (pulsing keyword families, ~10x more resident AKG edges than any one
-//! quantum's delta log) and reports the stage-3 cluster cost under both
-//! `ComponentIndexMode`s — the workload where the incremental component
-//! index's O(deltas) partitioning separates from the from-scratch
-//! O(AKG edges) rebuild.
+//! quantum's delta log) and reports the stage-3 cluster cost and the
+//! component-index upkeep — the workload where the index's O(deltas)
+//! partitioning matters most.
 //!
 //! Keep the workload small: this runs on every pull request.
 //!
@@ -39,8 +35,8 @@ use std::time::Instant;
 use dengraph_bench::{build_trace, TraceKind};
 use dengraph_core::evaluation::measure_throughput;
 use dengraph_core::{
-    CheckpointMode, ComponentIndexMode, DetectorBuilder, DetectorConfig, DetectorSession,
-    DurableJournalConfig, FsyncPolicy, Parallelism, WindowIndexMode, WireFormat,
+    CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
+    FsyncPolicy, Parallelism, WireFormat,
 };
 use dengraph_json::Value;
 use dengraph_stream::generator::profiles::ProfileScale;
@@ -120,19 +116,13 @@ fn main() {
             .map(|r| r.messages_per_sec)
             .fold(0.0f64, f64::max)
     };
-    // The default configuration (incremental index, serial) anchors both
-    // comparisons.
+    // The default configuration (serial) anchors the comparison.
     let serial = best(base.clone());
     let parallel = best(
         base.clone()
             .with_parallelism(Parallelism::Threads(PARALLEL_THREADS)),
     );
-    let rebuild = best(
-        base.clone()
-            .with_window_index_mode(WindowIndexMode::Rebuild),
-    );
     let parallel_speedup = parallel / serial;
-    let window_index_speedup = serial / rebuild;
     let hardware_threads = Parallelism::auto().threads();
 
     // Durable WAL cost: the same serial workload with the file-backed
@@ -359,9 +349,6 @@ fn main() {
         ("parallel_threads", Value::from(PARALLEL_THREADS)),
         ("parallel_msgs_per_sec", Value::from(parallel)),
         ("speedup", Value::from(parallel_speedup)),
-        ("rebuild_window_msgs_per_sec", Value::from(rebuild)),
-        ("incremental_window_msgs_per_sec", Value::from(serial)),
-        ("window_index_speedup", Value::from(window_index_speedup)),
         ("checkpoint_bytes", Value::from(checkpoint_bytes)),
         ("checkpoint_ms", Value::from(checkpoint_ms)),
         ("restore_ms", Value::from(restore_ms)),
@@ -388,11 +375,7 @@ fn main() {
     println!("{json}");
     println!(
         "\nserial {serial:.0} msgs/s, {PARALLEL_THREADS}-thread {parallel:.0} msgs/s \
-         ({parallel_speedup:.2}x on {hardware_threads} hardware threads)"
-    );
-    println!(
-        "window index: rebuild {rebuild:.0} msgs/s, incremental {serial:.0} msgs/s \
-         ({window_index_speedup:.2}x) -> {out_path}"
+         ({parallel_speedup:.2}x on {hardware_threads} hardware threads) -> {out_path}"
     );
     println!(
         "checkpoint: binary {checkpoint_bytes} bytes ({checkpoint_ms:.2} ms encode, \
@@ -432,22 +415,20 @@ fn main() {
 }
 
 /// Runs the dense-AKG stress scenario: parallel detection over the
-/// pulsing-family trace under both [`ComponentIndexMode`]s, attributing
-/// the stage-3 cluster cost to each.  This is the workload the incremental
-/// component index exists for — the AKG holds roughly an order of
-/// magnitude more live edges than any one quantum's delta log touches, so
-/// `cluster_speedup` isolates the partitioning cost (O(deltas) vs
-/// O(AKG edges)); both modes produce bit-identical clusters.
+/// pulsing-family trace, attributing the stage-3 cluster cost and the
+/// component-index upkeep.  This is the workload the incremental component
+/// index exists for — the AKG holds roughly an order of magnitude more
+/// live edges than any one quantum's delta log touches, so the O(deltas)
+/// partitioning is what keeps `cluster_ms` down.
 ///
 /// Each sample feeds the trace through one session **twice**.  The first
 /// pass builds the resident AKG from nothing — its cluster cost is
-/// dominated by the one-off short-cycle searches of `EdgeAddition`, which
-/// both modes share.  The second pass is the steady state the index
-/// targets: the families already exist, so a quantum is mostly weight
-/// updates plus the pulse/teardown churn of the mortal families.  The
-/// reported `cluster_ms`/`stage_ms` are the *second-pass* deltas of the
-/// cumulative stage timers; `build_cluster_ms` keeps the first-pass cost
-/// for context.
+/// dominated by the one-off short-cycle searches of `EdgeAddition`.  The
+/// second pass is the steady state the index targets: the families already
+/// exist, so a quantum is mostly weight updates plus the pulse/teardown
+/// churn of the mortal families.  The reported `cluster_ms`/`stage_ms` are
+/// the *second-pass* deltas of the cumulative stage timers;
+/// `build_cluster_ms` keeps the first-pass cost for context.
 fn dense_report() -> Value {
     let trace = build_trace(TraceKind::Dense, ProfileScale::Small);
     // The steady-state pass replays the same rounds with shifted arrival
@@ -462,11 +443,11 @@ fn dense_report() -> Value {
     };
     // Window of 24 quanta: comfortably above the 10-round pulse period,
     // so a dormant family never goes stale between two of its bursts.
-    let base = DetectorConfig::nominal()
+    let config = DetectorConfig::nominal()
         .with_window_quanta(24)
         .with_parallelism(Parallelism::Threads(PARALLEL_THREADS));
 
-    struct ModeRun {
+    struct Sample {
         msgs_per_sec: f64,
         cluster_ms: f64,
         build_cluster_ms: f64,
@@ -479,74 +460,58 @@ fn dense_report() -> Value {
     // cluster time, the number under test); stage timers are cumulative
     // per session, so the steady-state pass is the difference between the
     // two snapshots.
-    let run_mode = |mode: ComponentIndexMode| -> ModeRun {
-        let config = base.clone().with_component_index_mode(mode);
-        let mut best: Option<ModeRun> = None;
-        for round in 0..4 {
-            let mut session = DetectorBuilder::from_config(config.clone())
-                .interner(trace.interner.clone())
-                .build()
-                .expect("bench config is valid");
-            session.run(&trace.messages);
-            let build = session.detector().stage_times();
-            let start = Instant::now();
-            session.run(&steady_messages);
-            let msgs_per_sec =
-                steady_messages.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-            if round == 0 {
-                continue;
-            }
-            let total = session.detector().stage_times();
-            let steady_stage_ms: Vec<(&'static str, f64)> = total
-                .as_millis()
-                .into_iter()
-                .zip(build.as_millis())
-                .map(|((name, after), (_, before))| (name, after - before))
-                .collect();
-            let sample = ModeRun {
-                msgs_per_sec,
-                cluster_ms: (total.cluster_ns - build.cluster_ns) as f64 / 1e6,
-                build_cluster_ms: build.cluster_ns as f64 / 1e6,
-                component_ms: (total.component_ns - build.component_ns) as f64 / 1e6,
-                stage_ms: Value::obj(
-                    steady_stage_ms
-                        .into_iter()
-                        .map(|(name, ms)| (name, Value::from(ms))),
-                ),
-                akg_nodes: session.detector().akg().node_count(),
-                akg_edges: session.detector().akg().edge_count(),
-            };
-            best = Some(match best {
-                Some(b) if b.cluster_ms <= sample.cluster_ms => b,
-                _ => sample,
-            });
+    let mut best: Option<Sample> = None;
+    for round in 0..4 {
+        let mut session = DetectorBuilder::from_config(config.clone())
+            .interner(trace.interner.clone())
+            .build()
+            .expect("bench config is valid");
+        session.run(&trace.messages);
+        let build = session.detector().stage_times();
+        let start = Instant::now();
+        session.run(&steady_messages);
+        let msgs_per_sec = steady_messages.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
+        if round == 0 {
+            continue;
         }
-        best.expect("at least one timed round")
-    };
-    let incremental = run_mode(ComponentIndexMode::Incremental);
-    let rebuild = run_mode(ComponentIndexMode::Rebuild);
-    let cluster_speedup = rebuild.cluster_ms / incremental.cluster_ms.max(1e-9);
+        let total = session.detector().stage_times();
+        let steady_stage_ms: Vec<(&'static str, f64)> = total
+            .as_millis()
+            .into_iter()
+            .zip(build.as_millis())
+            .map(|((name, after), (_, before))| (name, after - before))
+            .collect();
+        let sample = Sample {
+            msgs_per_sec,
+            cluster_ms: (total.cluster_ns - build.cluster_ns) as f64 / 1e6,
+            build_cluster_ms: build.cluster_ns as f64 / 1e6,
+            component_ms: (total.component_ns - build.component_ns) as f64 / 1e6,
+            stage_ms: Value::obj(
+                steady_stage_ms
+                    .into_iter()
+                    .map(|(name, ms)| (name, Value::from(ms))),
+            ),
+            akg_nodes: session.detector().akg().node_count(),
+            akg_edges: session.detector().akg().edge_count(),
+        };
+        best = Some(match best {
+            Some(b) if b.cluster_ms <= sample.cluster_ms => b,
+            _ => sample,
+        });
+    }
+    let best = best.expect("at least one timed round");
 
     Value::obj([
         ("profile", Value::str(&trace.profile_name)),
         ("messages", Value::from(trace.messages.len())),
-        ("akg_nodes_final", Value::from(incremental.akg_nodes)),
-        ("akg_edges_final", Value::from(incremental.akg_edges)),
+        ("akg_nodes_final", Value::from(best.akg_nodes)),
+        ("akg_edges_final", Value::from(best.akg_edges)),
         ("parallel_threads", Value::from(PARALLEL_THREADS)),
-        (
-            "parallel_msgs_per_sec",
-            Value::from(incremental.msgs_per_sec),
-        ),
-        ("rebuild_msgs_per_sec", Value::from(rebuild.msgs_per_sec)),
-        ("cluster_ms", Value::from(incremental.cluster_ms)),
-        ("rebuild_cluster_ms", Value::from(rebuild.cluster_ms)),
-        ("cluster_speedup", Value::from(cluster_speedup)),
-        (
-            "build_cluster_ms",
-            Value::from(incremental.build_cluster_ms),
-        ),
-        ("component_ms", Value::from(incremental.component_ms)),
-        ("stage_ms", incremental.stage_ms),
+        ("parallel_msgs_per_sec", Value::from(best.msgs_per_sec)),
+        ("cluster_ms", Value::from(best.cluster_ms)),
+        ("build_cluster_ms", Value::from(best.build_cluster_ms)),
+        ("component_ms", Value::from(best.component_ms)),
+        ("stage_ms", best.stage_ms),
     ])
 }
 
@@ -554,12 +519,9 @@ fn dense_report() -> Value {
 fn print_dense_summary(dense: &Value) {
     let get = |key: &str| metric(dense, key).unwrap_or(0.0);
     println!(
-        "dense: cluster stage {:.2} ms incremental vs {:.2} ms rebuild \
-         ({:.2}x), component index upkeep {:.2} ms, {:.0} msgs/s parallel, \
-         AKG {:.0} nodes / {:.0} edges final",
+        "dense: cluster stage {:.2} ms, component index upkeep {:.2} ms, \
+         {:.0} msgs/s parallel, AKG {:.0} nodes / {:.0} edges final",
         get("cluster_ms"),
-        get("rebuild_cluster_ms"),
-        get("cluster_speedup"),
         get("component_ms"),
         get("parallel_msgs_per_sec"),
         get("akg_nodes_final"),
@@ -582,11 +544,10 @@ const GROWTH_METRICS: [&str; 5] = [
 
 /// Metrics shown in the comparison table (superset of the gated ones).
 /// Dotted keys walk nested objects (`kernel_ns.hash_batch`).
-const TABLE_METRICS: [&str; 19] = [
+const TABLE_METRICS: [&str; 16] = [
     "serial_msgs_per_sec",
     "parallel_msgs_per_sec",
     "speedup",
-    "window_index_speedup",
     "stage_ms.component",
     "kernel_ns.hash_batch",
     "kernel_ns.minima_fold",
@@ -600,8 +561,6 @@ const TABLE_METRICS: [&str; 19] = [
     "recovery_ms",
     "dense.parallel_msgs_per_sec",
     "dense.cluster_ms",
-    "dense.rebuild_cluster_ms",
-    "dense.cluster_speedup",
 ];
 
 /// Stage-3 attribution metrics where *bigger is worse*, warned (non-fatal,
@@ -784,24 +743,6 @@ fn compare(pr_path: &str, baseline_path: &str) -> i32 {
                     ),
                 );
             }
-        }
-    }
-    // The dense-profile cluster speedup is the index's acceptance ratio
-    // (incremental vs from-scratch partitioning); smaller is worse.
-    if let (Some(now), Some(was)) = (
-        metric(&fresh, "dense.cluster_speedup"),
-        metric(&base, "dense.cluster_speedup"),
-    ) {
-        if was.abs() > f64::EPSILON && now / was < 0.9 {
-            warn(
-                &mut lines,
-                "stage-3 regression",
-                format!(
-                    "dense.cluster_speedup regressed to {:.2}x of the baseline \
-                     ({now:.2} vs {was:.2}).",
-                    now / was,
-                ),
-            );
         }
     }
     // Journal write overhead is gated on its absolute acceptance ceiling,

@@ -320,21 +320,20 @@ impl dengraph_json::Decode for AkgQuantumStats {
 /// edge scoring: one min-hash sketch per keyword, or the exact window user
 /// set when the config asks for exact Jaccard.
 ///
-/// Under [`WindowIndexMode::Incremental`](crate::keyword_state::WindowIndexMode)
-/// (the default) each entry **borrows** the window's cached per-keyword
-/// sketch — zero copies; under `Rebuild` each entry is built by walking
-/// all `w` window quanta (fanned out over keyword shards).  The keyword →
-/// slot mapping is a binary search over the sorted `involved` column
-/// instead of a hash map.  Both construction and lookup are pure reads,
-/// so the score phase can run on any number of threads with identical
-/// results.
+/// Each sketch entry **borrows** the window index's cached per-keyword
+/// sketch — zero copies.  The keyword → slot mapping is a binary search
+/// over the sorted `involved` column instead of a hash map.  Both
+/// construction and lookup are pure reads, so the score phase can run on
+/// any number of threads with identical results.
 enum CacheData<'w> {
-    /// Borrowed cached window sketches (incremental index, the default).
-    /// `None` marks a keyword absent from the window, scored as an empty
-    /// sketch.
+    /// Borrowed cached window sketches.  `None` marks a keyword with no
+    /// index entry, scored as an empty sketch.  That matches the record
+    /// walk only because every involved keyword is either bursty this
+    /// quantum (so materialized) or an AKG node, and every AKG node has a
+    /// live index entry — an invariant
+    /// [`EventDetector::validate_invariants`](crate::detector::EventDetector::validate_invariants)
+    /// checks.
     Borrowed(Vec<Option<&'w MinHashSketch>>),
-    /// Owned sketches rebuilt from the window records (`Rebuild` mode).
-    Owned(Vec<MinHashSketch>),
     /// Exact window user sets (the `exact_edge_correlation` ablation).
     Exact(Vec<FxHashSet<UserId>>),
 }
@@ -354,15 +353,13 @@ impl<'a> CorrelationCache<'a> {
     fn build(config: &DetectorConfig, window: &'a WindowState, involved: &'a [KeywordId]) -> Self {
         let data = if config.exact_edge_correlation {
             CacheData::Exact(window.window_user_sets(involved, config.parallelism))
-        } else if window.mode() == crate::keyword_state::WindowIndexMode::Incremental {
+        } else {
             CacheData::Borrowed(
                 involved
                     .iter()
                     .map(|&k| window.window_sketch_ref(k))
                     .collect(),
             )
-        } else {
-            CacheData::Owned(window.window_sketches(involved, config.parallelism))
         };
         Self {
             involved,
@@ -377,7 +374,6 @@ impl<'a> CorrelationCache<'a> {
         let slot = self.slot(keyword);
         match &self.data {
             CacheData::Borrowed(sketches) => Some(sketches[slot].unwrap_or(&self.empty).minima()),
-            CacheData::Owned(sketches) => Some(sketches[slot].minima()),
             CacheData::Exact(_) => None,
         }
     }
@@ -405,7 +401,6 @@ impl<'a> CorrelationCache<'a> {
                 sketches[ia].unwrap_or(&self.empty),
                 sketches[ib].unwrap_or(&self.empty),
             ),
-            CacheData::Owned(sketches) => estimate(&sketches[ia], &sketches[ib]),
             CacheData::Exact(sets) => dengraph_minhash::exact_jaccard(&sets[ia], &sets[ib]),
         }
     }

@@ -22,7 +22,7 @@
 //! the property the sharded maintainer already guarantees), and the
 //! tracker re-observes the logged events.  The result is bit-identical
 //! to the uninterrupted run (`tests/checkpoint_resume.rs` gates this
-//! across `Parallelism` × `WindowIndexMode` × [`CheckpointMode`]).
+//! across `Parallelism` × [`CheckpointMode`]).
 //!
 //! ## Wire layout
 //!

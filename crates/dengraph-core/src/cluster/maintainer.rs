@@ -15,28 +15,23 @@
 //! worker pool against its own sub-registry, and merging serially.  Fresh
 //! cluster ids are allocated in a placeholder space per shard and
 //! renumbered during the merge in `(delta index, allocation order)` —
-//! exactly the order the serial loop allocates in — so every sharded path
+//! exactly the order the serial loop allocates in — so the sharded path
 //! is **bit-identical** to the serial one, cluster ids included
 //! (`tests/parallel_determinism.rs` gates it).
 //!
-//! Two paths derive the partition:
-//!
-//! * [`ClusterMaintainer::apply_deltas_indexed`] (the hot path) reads the
-//!   persistent [`ComponentIndex`] the AKG maintainer keeps in lock step
-//!   with the graph, layering a **transient overlay union-find over this
-//!   quantum's delta endpoints** on top.  The overlay is what keeps a
-//!   deletion repair co-sharded with the cluster it repairs: a live
-//!   cluster's edges are a subset of the *pre-quantum* graph, and every
-//!   pre-quantum edge is either still in the post-quantum graph (so its
-//!   endpoints share a persistent component) or was removed this quantum
-//!   (so its endpoints are unioned by its `EdgeRemoved` delta) — hence
-//!   every cluster stays inside a single overlay component and no walk
-//!   over cluster edges is needed.  Partitioning cost: O(deltas), not
-//!   O(AKG edges).
-//! * [`ClusterMaintainer::apply_deltas_with`] recomputes the partition
-//!   from scratch by unioning every AKG edge plus the delta endpoints and
-//!   the live cluster edges — kept as the `ComponentIndexMode::Rebuild`
-//!   ablation baseline the bench compares against.
+//! [`ClusterMaintainer::apply_deltas_indexed`] derives the partition from
+//! the persistent [`ComponentIndex`] the AKG maintainer keeps in lock step
+//! with the graph, layering a **transient overlay union-find over this
+//! quantum's delta endpoints** on top.  The overlay is what keeps a
+//! deletion repair co-sharded with the cluster it repairs: a live
+//! cluster's edges are a subset of the *pre-quantum* graph, and every
+//! pre-quantum edge is either still in the post-quantum graph (so its
+//! endpoints share a persistent component) or was removed this quantum (so
+//! its endpoints are unioned by its `EdgeRemoved` delta) — hence every
+//! cluster stays inside a single overlay component and no walk over
+//! cluster edges is needed.  Partitioning cost: O(deltas), not O(AKG
+//! edges).  The index's from-scratch reference is
+//! [`ComponentIndex::validate_against`].
 
 use dengraph_graph::fxhash::FxHashMap;
 use dengraph_graph::{ComponentIndex, DynamicGraph, NodeId};
@@ -203,37 +198,19 @@ impl ClusterMaintainer {
     /// maintainer hands it over); Lemma 5 guarantees the per-delta
     /// processing order does not change the final clustering.
     pub fn apply_deltas(&mut self, graph: &DynamicGraph, deltas: &[GraphDelta], quantum: u64) {
-        self.apply_deltas_with(graph, deltas, quantum, Parallelism::Serial);
+        self.finish_quantum(graph, deltas, quantum, None);
     }
 
-    /// Like [`Self::apply_deltas`], but shards the work by AKG connected
-    /// component over the worker pool when `parallelism` allows.  The
-    /// sharded path is bit-identical to the serial one — same clusters,
-    /// same cluster ids, same statistics.
-    pub fn apply_deltas_with(
-        &mut self,
-        graph: &DynamicGraph,
-        deltas: &[GraphDelta],
-        quantum: u64,
-        parallelism: Parallelism,
-    ) {
-        let stats = if parallelism.is_parallel() && deltas.len() >= 2 {
-            self.apply_deltas_sharded(graph, deltas, quantum, parallelism)
-        } else {
-            None
-        };
-        self.finish_quantum(graph, deltas, quantum, stats);
-    }
-
-    /// The stage-3 hot path: like [`Self::apply_deltas_with`], but derives
-    /// the shard partition from the persistent [`ComponentIndex`] the AKG
-    /// maintainer keeps in lock step with `graph`, instead of re-walking
-    /// every AKG edge.  A transient union-find over this quantum's delta
-    /// endpoints is layered on top of the persistent components so deletion
-    /// repairs stay co-sharded with the clusters they repair (see the module
-    /// docs for why delta unions alone suffice).  Partitioning is O(deltas);
-    /// the result is bit-identical to the serial and from-scratch paths —
-    /// same clusters, same cluster ids, same statistics.
+    /// The stage-3 hot path: like [`Self::apply_deltas`], but shards the
+    /// work by AKG connected component over the worker pool when
+    /// `parallelism` allows.  The shard partition comes from the persistent
+    /// [`ComponentIndex`] the AKG maintainer keeps in lock step with
+    /// `graph`, with a transient union-find over this quantum's delta
+    /// endpoints layered on top so deletion repairs stay co-sharded with
+    /// the clusters they repair (see the module docs for why delta unions
+    /// alone suffice).  Partitioning is O(deltas); the result is
+    /// bit-identical to the serial path — same clusters, same cluster ids,
+    /// same statistics.
     ///
     /// `index` must be the component index of `graph` (i.e. of the
     /// *post-delta* AKG, which is how [`crate::akg::AkgMaintainer`] hands
@@ -247,21 +224,7 @@ impl ClusterMaintainer {
         parallelism: Parallelism,
     ) {
         let stats = if parallelism.is_parallel() && deltas.len() >= 2 {
-            let mut overlay = DeltaOverlay::new(index);
-            for delta in deltas {
-                match *delta {
-                    GraphDelta::NodeAdded { .. } | GraphDelta::NodeRemoved { .. } => {
-                        // Pure node deltas carry no connectivity; their
-                        // shard key resolves through the overlay on demand.
-                    }
-                    GraphDelta::EdgeAdded { a, b, .. }
-                    | GraphDelta::EdgeWeightUpdated { a, b, .. }
-                    | GraphDelta::EdgeRemoved { a, b } => {
-                        overlay.union(a, b);
-                    }
-                }
-            }
-            self.partition_and_run(graph, deltas, quantum, parallelism, |n| overlay.root_of(n))
+            self.apply_deltas_sharded(graph, index, deltas, quantum, parallelism)
         } else {
             None
         };
@@ -292,65 +255,33 @@ impl ClusterMaintainer {
         );
     }
 
-    /// The from-scratch sharded path (`ComponentIndexMode::Rebuild`).
-    /// Returns `None` when the quantum's deltas all live in one connected
-    /// component (nothing to fan out); the caller then runs the serial
-    /// loop.
+    /// The sharded path: group the deltas into shards by overlay component,
+    /// move affected clusters in, fan the shards out over the worker pool
+    /// and merge canonically.  Returns `None` when the quantum's deltas all
+    /// live in one component (nothing to fan out); the caller then runs the
+    /// serial loop.
     fn apply_deltas_sharded(
         &mut self,
         graph: &DynamicGraph,
+        index: &ComponentIndex,
         deltas: &[GraphDelta],
         quantum: u64,
         parallelism: Parallelism,
     ) -> Option<MaintenanceStats> {
-        // Connected components over the post-delta graph *plus* the delta
-        // edges and the live cluster edges: removed structure must still
-        // connect, so a deletion repair lands in the same shard as the
-        // cluster it repairs.  This walks the whole AKG once per parallel
-        // quantum — the cost [`Self::apply_deltas_indexed`] exists to
-        // avoid; it is kept as the ablation baseline the bench's dense
-        // profile measures the index against.  (Isolated nodes need no
-        // eager `ensure` here: the union-find interns any node the shard
-        // grouping or cluster-move loop asks about on demand.)
-        let mut components = NodeComponents::default();
-        for (key, _) in graph.edges() {
-            components.union(key.0, key.1);
-        }
+        let mut overlay = DeltaOverlay::new(index);
         for delta in deltas {
             match *delta {
-                GraphDelta::NodeAdded { node } | GraphDelta::NodeRemoved { node } => {
-                    components.ensure(node);
+                GraphDelta::NodeAdded { .. } | GraphDelta::NodeRemoved { .. } => {
+                    // Pure node deltas carry no connectivity; their shard
+                    // key resolves through the overlay on demand.
                 }
                 GraphDelta::EdgeAdded { a, b, .. }
                 | GraphDelta::EdgeWeightUpdated { a, b, .. }
                 | GraphDelta::EdgeRemoved { a, b } => {
-                    components.union(a, b);
+                    overlay.union(a, b);
                 }
             }
         }
-        for cluster in self.registry.clusters() {
-            for e in &cluster.edges {
-                components.union(e.0, e.1);
-            }
-        }
-        self.partition_and_run(graph, deltas, quantum, parallelism, |n| {
-            components.root(n) as u64
-        })
-    }
-
-    /// Shared tail of both sharded paths: group the deltas into shards by
-    /// the component root `root_of` reports, move affected clusters in,
-    /// fan the shards out over the worker pool and merge canonically.
-    /// `root_of` must map two nodes to the same key exactly when a single
-    /// delta's processing may touch both of their neighbourhoods.
-    fn partition_and_run(
-        &mut self,
-        graph: &DynamicGraph,
-        deltas: &[GraphDelta],
-        quantum: u64,
-        parallelism: Parallelism,
-        mut root_of: impl FnMut(NodeId) -> u64,
-    ) -> Option<MaintenanceStats> {
         // One shard per component that receives at least one delta,
         // keeping each shard's deltas in stream order.
         let mut shard_of_root: FxHashMap<u64, usize> = FxHashMap::default();
@@ -362,7 +293,7 @@ impl ClusterMaintainer {
                 | GraphDelta::EdgeWeightUpdated { a, .. }
                 | GraphDelta::EdgeRemoved { a, .. } => a,
             };
-            let root = root_of(node);
+            let root = overlay.root_of(node);
             let shard = *shard_of_root.entry(root).or_insert_with(|| {
                 shards.push(Shard::default());
                 shards.len() - 1
@@ -388,7 +319,7 @@ impl ClusterMaintainer {
                 .iter()
                 .next()
                 .expect("clusters are non-empty");
-            let root = root_of(node);
+            let root = overlay.root_of(node);
             if let Some(&shard) = shard_of_root.get(&root) {
                 let cluster = self.registry.remove(id).expect("live cluster");
                 shards[shard].seeds.push(cluster);
@@ -514,49 +445,6 @@ fn apply_one_delta(
 struct Shard {
     deltas: Vec<(usize, GraphDelta)>,
     seeds: Vec<Cluster>,
-}
-
-/// Union–find over arbitrary `NodeId`s (interned to dense slots on first
-/// touch).
-#[derive(Debug, Default)]
-struct NodeComponents {
-    slots: FxHashMap<NodeId, usize>,
-    parent: Vec<usize>,
-}
-
-impl NodeComponents {
-    fn ensure(&mut self, n: NodeId) -> usize {
-        match self.slots.entry(n) {
-            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let slot = self.parent.len();
-                v.insert(slot);
-                self.parent.push(slot);
-                slot
-            }
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: NodeId, b: NodeId) {
-        let (sa, sb) = (self.ensure(a), self.ensure(b));
-        let (ra, rb) = (self.find(sa), self.find(sb));
-        if ra != rb {
-            self.parent[ra] = rb;
-        }
-    }
-
-    fn root(&mut self, n: NodeId) -> usize {
-        let slot = self.ensure(n);
-        self.find(slot)
-    }
 }
 
 /// Key-space tag for overlay nodes that are absent from the persistent
@@ -751,10 +639,9 @@ mod tests {
     }
 
     /// Builds a multi-component delta stream (several disjoint triangle /
-    /// square families growing, merging and dissolving) and checks both
-    /// sharded paths — from-scratch partition and persistent-index
-    /// partition — are bit-identical to the serial one: clusters, ids,
-    /// indexes and stats.  The schedule includes node removals, so
+    /// square families growing, merging and dissolving) and checks the
+    /// sharded path, partitioned by the persistent component index, is
+    /// bit-identical to the serial one: clusters, ids, indexes and stats.  The schedule includes node removals, so
     /// deletion-split quanta (components falling apart) are exercised.
     #[test]
     fn sharded_maintenance_is_bit_identical_to_serial() {
@@ -771,7 +658,6 @@ mod tests {
         let mut graph = DynamicGraph::new();
         let mut index = ComponentIndex::new();
         let mut serial = ClusterMaintainer::new();
-        let mut sharded = ClusterMaintainer::new();
         let mut indexed = ClusterMaintainer::new();
         for quantum in 0..30u64 {
             let mut deltas: Vec<GraphDelta> = Vec::new();
@@ -818,12 +704,7 @@ mod tests {
                 .validate_against(&graph)
                 .expect("lock-step index matches graph");
             serial.apply_deltas(&graph, &deltas, quantum);
-            sharded.apply_deltas_with(&graph, &deltas, quantum, Parallelism::Threads(4));
             indexed.apply_deltas_indexed(&graph, &index, &deltas, quantum, Parallelism::Threads(4));
-            assert_eq!(
-                serial, sharded,
-                "sharded registry diverged from serial at quantum {quantum}"
-            );
             assert_eq!(
                 serial, indexed,
                 "index-partitioned registry diverged from serial at quantum {quantum}"

@@ -5,27 +5,56 @@
 
 pub use dengraph_parallel::Parallelism;
 
-pub use crate::keyword_state::WindowIndexMode;
-
-/// How stage 3 (sharded cluster maintenance) derives its per-quantum
-/// shard partition from the AKG's connected components.
+/// The tag written for the window index in [`WindowState`] and for the
+/// window and component indexes in [`DetectorConfig`].
 ///
-/// Both modes produce **bit-identical** output, cluster ids included —
-/// the partition only decides which shard processes which cluster, and
-/// placeholder renumbering erases shard numbering from the result.  The
-/// knob trades partitioning cost: `Incremental` reads the persistent
-/// [`ComponentIndex`](dengraph_graph::ComponentIndex) maintained in lock
-/// step with the AKG (O(deltas) per quantum), `Rebuild` recomputes the
-/// components from every AKG edge per quantum (O(AKG edges), the
-/// ablation baseline the bench compares against).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ComponentIndexMode {
-    /// Recompute the component partition from scratch each parallel
-    /// quantum — the ablation baseline.
-    Rebuild,
-    /// Partition from the persistent incrementally maintained component
-    /// index (the default).
-    Incremental,
+/// The tags survive from the retired `Rebuild` ablation modes: they are
+/// always written as `1` / `"incremental"`, so every checkpoint and journal
+/// written while the modes existed keeps its layout and restores unchanged.
+/// Decoders accept only this value and reject the retired `0` /
+/// `"rebuild"` by name.
+///
+/// [`WindowState`]: crate::keyword_state::WindowState
+pub(crate) const INCREMENTAL_BYTE: u8 = 1;
+
+/// The JSON spelling of [`INCREMENTAL_BYTE`].
+pub(crate) const INCREMENTAL_KEY: &str = "incremental";
+
+/// The error for a decoded tag naming the retired `Rebuild` mode.
+fn retired_rebuild(what: &str, offset: usize) -> dengraph_json::JsonError {
+    dengraph_json::JsonError {
+        message: format!("{what} 'rebuild' was retired; only 'incremental' state restores"),
+        offset,
+    }
+}
+
+/// Accepts the JSON index-mode tag `key` of field `what` only if it is
+/// [`INCREMENTAL_KEY`].
+pub(crate) fn check_incremental_key(what: &str, key: &str) -> dengraph_json::Result<()> {
+    match key {
+        INCREMENTAL_KEY => Ok(()),
+        "rebuild" => Err(retired_rebuild(what, 0)),
+        other => Err(dengraph_json::JsonError {
+            message: format!("unknown {what} '{other}'"),
+            offset: 0,
+        }),
+    }
+}
+
+/// Reads the binary index-mode tag of field `what` and accepts it only if
+/// it is [`INCREMENTAL_BYTE`].
+pub(crate) fn check_incremental_byte(
+    what: &str,
+    r: &mut dengraph_json::BinReader<'_>,
+) -> dengraph_json::Result<()> {
+    match r.byte()? {
+        INCREMENTAL_BYTE => Ok(()),
+        0 => Err(retired_rebuild(what, r.pos())),
+        other => Err(dengraph_json::JsonError {
+            message: format!("unknown {what} byte {other}"),
+            offset: r.pos(),
+        }),
+    }
 }
 
 /// A typed description of what is wrong with a [`DetectorConfig`].
@@ -124,19 +153,6 @@ pub struct DetectorConfig {
     /// to [`Parallelism::Serial`]; this knob only trades wall-clock time
     /// for cores.
     pub parallelism: Parallelism,
-    /// How the sliding window serves per-keyword aggregates (window
-    /// sketches, window user sets/counts, recency).  `Incremental`
-    /// maintains a per-keyword index updated in O(Δ) per slide;
-    /// `Rebuild` walks all `w` quanta per read (the ablation baseline).
-    /// Both modes are bit-identical in output and compose with
-    /// [`Self::parallelism`].
-    pub window_index_mode: WindowIndexMode,
-    /// How the stage-3 shard partition is derived: from the persistent
-    /// incrementally maintained component index (`Incremental`, the
-    /// default, O(deltas) per quantum) or recomputed from every AKG edge
-    /// (`Rebuild`, the ablation baseline).  Both modes are bit-identical
-    /// in output, cluster ids included.
-    pub component_index_mode: ComponentIndexMode,
 }
 
 impl Default for DetectorConfig {
@@ -152,8 +168,6 @@ impl Default for DetectorConfig {
             rank_threshold_factor: 1.0,
             require_noun: true,
             parallelism: Parallelism::Serial,
-            window_index_mode: WindowIndexMode::Incremental,
-            component_index_mode: ComponentIndexMode::Incremental,
         }
     }
 }
@@ -201,18 +215,6 @@ impl DetectorConfig {
     /// Sets the pipeline parallelism (builder style).
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the window index mode (builder style).
-    pub fn with_window_index_mode(mut self, mode: WindowIndexMode) -> Self {
-        self.window_index_mode = mode;
-        self
-    }
-
-    /// Sets the stage-3 component index mode (builder style).
-    pub fn with_component_index_mode(mut self, mode: ComponentIndexMode) -> Self {
-        self.component_index_mode = mode;
         self
     }
 
@@ -277,7 +279,9 @@ impl DetectorConfig {
         Ok(())
     }
 
-    /// Serialises the configuration to a [`dengraph_json::Value`].
+    /// Serialises the configuration to a [`dengraph_json::Value`].  The
+    /// `window_index_mode` and `component_index_mode` keys survive from the
+    /// retired `Rebuild` ablation modes and are always `"incremental"`.
     pub fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
@@ -309,20 +313,8 @@ impl DetectorConfig {
                     Parallelism::Threads(n) => Value::from(n),
                 },
             ),
-            (
-                "window_index_mode",
-                match self.window_index_mode {
-                    WindowIndexMode::Rebuild => Value::str("rebuild"),
-                    WindowIndexMode::Incremental => Value::str("incremental"),
-                },
-            ),
-            (
-                "component_index_mode",
-                match self.component_index_mode {
-                    ComponentIndexMode::Rebuild => Value::str("rebuild"),
-                    ComponentIndexMode::Incremental => Value::str("incremental"),
-                },
-            ),
+            ("window_index_mode", Value::str(INCREMENTAL_KEY)),
+            ("component_index_mode", Value::str(INCREMENTAL_KEY)),
         ])
     }
 
@@ -342,26 +334,9 @@ impl DetectorConfig {
             },
             v => Parallelism::Threads(v.as_usize()?),
         };
-        let window_index_mode = match value.get("window_index_mode")?.as_str()? {
-            "rebuild" => WindowIndexMode::Rebuild,
-            "incremental" => WindowIndexMode::Incremental,
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window_index_mode '{other}'"),
-                    offset: 0,
-                })
-            }
-        };
-        let component_index_mode = match value.get("component_index_mode")?.as_str()? {
-            "rebuild" => ComponentIndexMode::Rebuild,
-            "incremental" => ComponentIndexMode::Incremental,
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown component_index_mode '{other}'"),
-                    offset: 0,
-                })
-            }
-        };
+        for key in ["window_index_mode", "component_index_mode"] {
+            check_incremental_key(key, value.get(key)?.as_str()?)?;
+        }
         Ok(Self {
             quantum_size: value.get("quantum_size")?.as_usize()?,
             high_state_threshold: value.get("high_state_threshold")?.as_u32()?,
@@ -373,8 +348,6 @@ impl DetectorConfig {
             rank_threshold_factor: value.get("rank_threshold_factor")?.as_f64()?,
             require_noun: value.get("require_noun")?.as_bool()?,
             parallelism,
-            window_index_mode,
-            component_index_mode,
         })
     }
 
@@ -397,19 +370,14 @@ impl DetectorConfig {
             Parallelism::Serial => 0,
             Parallelism::Threads(n) => n,
         });
-        w.byte(match self.window_index_mode {
-            WindowIndexMode::Rebuild => 0,
-            WindowIndexMode::Incremental => 1,
-        });
-        w.byte(match self.component_index_mode {
-            ComponentIndexMode::Rebuild => 0,
-            ComponentIndexMode::Incremental => 1,
-        });
+        // The window and component index-mode tags (always incremental).
+        w.byte(INCREMENTAL_BYTE);
+        w.byte(INCREMENTAL_BYTE);
     }
 
     /// Reconstructs a configuration encoded by [`Self::to_bin`].
     pub fn from_bin(r: &mut dengraph_json::BinReader<'_>) -> dengraph_json::Result<Self> {
-        Ok(Self {
+        let config = Self {
             quantum_size: r.usize()?,
             high_state_threshold: r.u32()?,
             edge_correlation_threshold: r.f64()?,
@@ -423,27 +391,10 @@ impl DetectorConfig {
                 0 => Parallelism::Serial,
                 n => Parallelism::Threads(n),
             },
-            window_index_mode: match r.byte()? {
-                0 => WindowIndexMode::Rebuild,
-                1 => WindowIndexMode::Incremental,
-                other => {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("unknown window_index_mode byte {other}"),
-                        offset: r.pos(),
-                    })
-                }
-            },
-            component_index_mode: match r.byte()? {
-                0 => ComponentIndexMode::Rebuild,
-                1 => ComponentIndexMode::Incremental,
-                other => {
-                    return Err(dengraph_json::JsonError {
-                        message: format!("unknown component_index_mode byte {other}"),
-                        offset: r.pos(),
-                    })
-                }
-            },
-        })
+        };
+        check_incremental_byte("window_index_mode", r)?;
+        check_incremental_byte("component_index_mode", r)?;
+        Ok(config)
     }
 }
 
@@ -492,31 +443,11 @@ mod tests {
             .with_quantum_size(80)
             .with_edge_correlation_threshold(0.25)
             .with_high_state_threshold(6)
-            .with_window_quanta(20)
-            .with_window_index_mode(WindowIndexMode::Rebuild);
+            .with_window_quanta(20);
         assert_eq!(c.quantum_size, 80);
         assert_eq!(c.high_state_threshold, 6);
         assert_eq!(c.window_quanta, 20);
         assert!((c.edge_correlation_threshold - 0.25).abs() < f64::EPSILON);
-        assert_eq!(c.window_index_mode, WindowIndexMode::Rebuild);
-    }
-
-    #[test]
-    fn incremental_window_index_is_the_default() {
-        assert_eq!(
-            DetectorConfig::nominal().window_index_mode,
-            WindowIndexMode::Incremental
-        );
-    }
-
-    #[test]
-    fn incremental_component_index_is_the_default() {
-        assert_eq!(
-            DetectorConfig::nominal().component_index_mode,
-            ComponentIndexMode::Incremental
-        );
-        let c = DetectorConfig::nominal().with_component_index_mode(ComponentIndexMode::Rebuild);
-        assert_eq!(c.component_index_mode, ComponentIndexMode::Rebuild);
     }
 
     #[test]
@@ -658,8 +589,6 @@ mod tests {
                 require_noun: false,
                 rank_threshold_factor: 1.25,
                 parallelism: Parallelism::Threads(4),
-                window_index_mode: WindowIndexMode::Rebuild,
-                component_index_mode: ComponentIndexMode::Rebuild,
                 ..DetectorConfig::nominal()
             },
         ] {

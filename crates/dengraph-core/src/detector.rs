@@ -205,11 +205,10 @@ impl EventDetector {
     /// [`DetectorBuilder`](crate::session::DetectorBuilder), which enforces
     /// validation.
     pub(crate) fn from_config(config: DetectorConfig) -> Self {
-        let window = WindowState::with_mode(
+        let window = WindowState::new(
             config.window_quanta,
             config.sketch_size(),
             UserHasher::new(WINDOW_HASHER_SEED),
-            config.window_index_mode,
         )
         // Only keywords that were bursty at least once are ever read
         // through the index, so the long tail below σ skips all
@@ -398,24 +397,15 @@ impl EventDetector {
 
         // 3. Cluster maintenance, sharded by AKG connected component.  The
         //    partition comes from the persistent component index the AKG
-        //    maintainer keeps in lock step (O(deltas)); Rebuild mode is the
-        //    from-scratch ablation the bench measures the index against.
+        //    maintainer keeps in lock step (O(deltas)).
         let stage_start = std::time::Instant::now();
-        match self.config.component_index_mode {
-            crate::config::ComponentIndexMode::Incremental => self.clusters.apply_deltas_indexed(
-                self.akg.graph(),
-                self.akg.components(),
-                &self.scratch.deltas,
-                quantum,
-                self.config.parallelism,
-            ),
-            crate::config::ComponentIndexMode::Rebuild => self.clusters.apply_deltas_with(
-                self.akg.graph(),
-                &self.scratch.deltas,
-                quantum,
-                self.config.parallelism,
-            ),
-        }
+        self.clusters.apply_deltas_indexed(
+            self.akg.graph(),
+            self.akg.components(),
+            &self.scratch.deltas,
+            quantum,
+            self.config.parallelism,
+        );
         self.stage_times.cluster_ns += stage_start.elapsed().as_nanos() as u64;
 
         // 4 + 5. Rank, filter and report.
@@ -454,8 +444,11 @@ impl EventDetector {
     /// the persistent component index against a from-scratch recompute of
     /// the AKG's connected components
     /// ([`ComponentIndex::validate_against`](dengraph_graph::ComponentIndex::validate_against)),
-    /// and the cluster registry's index/SCP/id-allocation contract
-    /// ([`ClusterRegistry::check_invariants`](crate::cluster::ClusterRegistry::check_invariants)).
+    /// the cluster registry's index/SCP/id-allocation contract
+    /// ([`ClusterRegistry::check_invariants`](crate::cluster::ClusterRegistry::check_invariants)),
+    /// and one cross-structure rule: every AKG node's keyword has a live
+    /// window-index entry.  Edge scoring reads an unindexed keyword as an
+    /// empty sketch, which matches the record walk only under that rule.
     ///
     /// O(total state) — a validation aid.  Under the `invariants` cargo
     /// feature this runs automatically at every quantum boundary and
@@ -469,6 +462,17 @@ impl EventDetector {
         self.window
             .validate_invariants()
             .map_err(|e| format!("window: {e}"))?;
+        if let Some(node) = self
+            .akg
+            .graph()
+            .nodes()
+            .filter(|&n| self.window.window_sketch_ref(keyword_of(n)).is_none())
+            .min()
+        {
+            return Err(format!(
+                "AKG node {node:?} has no window-index entry for its keyword"
+            ));
+        }
         self.akg
             .components()
             .validate_against(self.akg.graph())
@@ -603,20 +607,16 @@ impl EventDetector {
         config: &DetectorConfig,
         window: &WindowState,
     ) -> dengraph_json::Result<()> {
-        if window.capacity() != config.window_quanta
-            || window.sketch_size() != config.sketch_size()
-            || window.mode() != config.window_index_mode
+        if window.capacity() != config.window_quanta || window.sketch_size() != config.sketch_size()
         {
             return Err(dengraph_json::JsonError {
                 message: format!(
-                    "window geometry (capacity {}, sketch size {}, mode {:?}) contradicts \
-                     the embedded configuration (window_quanta {}, sketch size {}, mode {:?})",
+                    "window geometry (capacity {}, sketch size {}) contradicts the embedded \
+                     configuration (window_quanta {}, sketch size {})",
                     window.capacity(),
                     window.sketch_size(),
-                    window.mode(),
                     config.window_quanta,
                     config.sketch_size(),
-                    config.window_index_mode,
                 ),
                 offset: 0,
             });

@@ -13,19 +13,17 @@
 //! * the most recent quantum in which it occurred (for stale removal).
 //!
 //! Each quantum contributes one immutable [`QuantumRecord`]; sliding the
-//! window simply drops the oldest record.  How the per-keyword aggregates
-//! are produced from those records is governed by [`WindowIndexMode`]:
+//! window simply drops the oldest record.  An incremental `WindowIndex`
+//! keeps, per keyword, a refcounted window user multiset, per-quantum
+//! sub-sketches merged into a cached window sketch, and a recency mark,
+//! all updated in O(Δ) as the window slides, so reads are O(1) / O(set
+//! size).  Keywords below the materialization threshold have no entry and
+//! are served by walking the `w` records instead.
 //!
-//! * [`WindowIndexMode::Rebuild`] — every read walks all `w` records (the
-//!   naive cache-build cost the paper's incremental AKG design avoids;
-//!   kept as the ablation baseline),
-//! * [`WindowIndexMode::Incremental`] — a `WindowIndex` keeps, per
-//!   keyword, a refcounted window user multiset, per-quantum sub-sketches
-//!   merged into a cached window sketch, and a recency mark, all updated
-//!   in O(Δ) as the window slides, so reads are O(1) / O(set size).
-//!
-//! Both modes are **bit-identical**: same sketches, same counts, same
-//! user sets (`tests/window_index_equivalence.rs` gates this).
+//! That record walk is also the single reference implementation: it is
+//! bit-identical to the indexed reads (same sketches, same counts, same
+//! user sets), and [`WindowState::validate_invariants`] recomputes every
+//! index entry with it (`tests/window_index_equivalence.rs` gates this).
 //!
 //! ## Dense-id layout
 //!
@@ -49,6 +47,10 @@ use dengraph_minhash::{kernel, EpochSketchStore, MinHashSketch, SketchLanes, Use
 use dengraph_parallel::{par_chunks, par_map, Parallelism};
 use dengraph_stream::{Message, UserId};
 use dengraph_text::KeywordId;
+
+use crate::config::{
+    check_incremental_byte, check_incremental_key, INCREMENTAL_BYTE, INCREMENTAL_KEY,
+};
 
 /// One per-keyword user span of a [`QuantumRecord`]: the keyword plus the
 /// `[start, end)` range of its users in the record's flat user column.
@@ -406,18 +408,6 @@ fn fold_pairs(pairs: &[(KeywordId, UserId)], storage: RecordStorage) -> RecordSt
         users.push(u);
     }
     (users, spans)
-}
-
-/// How the sliding window serves per-keyword aggregate reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WindowIndexMode {
-    /// Rebuild every aggregate from scratch by walking all `w` quanta per
-    /// read (the ablation baseline).
-    Rebuild,
-    /// Maintain a per-keyword incremental index updated in O(Δ) per slide
-    /// (refcounted user multisets + merged per-quantum sub-sketches).
-    #[default]
-    Incremental,
 }
 
 /// Per-keyword incremental state over the current window.
@@ -841,41 +831,19 @@ pub struct WindowState {
     capacity: usize,
     hasher: UserHasher,
     sketch_size: usize,
-    index: Option<WindowIndex>,
+    index: WindowIndex,
 }
 
 impl WindowState {
     /// Creates an empty window of `capacity` quanta using sketches of `p`
-    /// minima hashed with `hasher`, in the default (incremental) mode.
+    /// minima hashed with `hasher`.
     pub fn new(capacity: usize, sketch_size: usize, hasher: UserHasher) -> Self {
-        Self::with_mode(capacity, sketch_size, hasher, WindowIndexMode::default())
-    }
-
-    /// Creates an empty window with an explicit [`WindowIndexMode`].
-    pub fn with_mode(
-        capacity: usize,
-        sketch_size: usize,
-        hasher: UserHasher,
-        mode: WindowIndexMode,
-    ) -> Self {
         Self {
             window: VecDeque::with_capacity(capacity + 1),
             capacity: capacity.max(1),
             hasher,
             sketch_size,
-            index: match mode {
-                WindowIndexMode::Rebuild => None,
-                WindowIndexMode::Incremental => Some(WindowIndex::new(sketch_size)),
-            },
-        }
-    }
-
-    /// The active index mode.
-    pub fn mode(&self) -> WindowIndexMode {
-        if self.index.is_some() {
-            WindowIndexMode::Incremental
-        } else {
-            WindowIndexMode::Rebuild
+            index: WindowIndex::new(sketch_size),
         }
     }
 
@@ -883,19 +851,17 @@ impl WindowState {
     /// incrementally maintained index entry once a single quantum brings
     /// it at least this many distinct users (the detector passes the
     /// burstiness threshold σ).  Keywords below the threshold are served
-    /// by the bit-identical record walk instead.  No-op under
-    /// [`WindowIndexMode::Rebuild`]; the default of 1 materializes
-    /// everything.
+    /// by the bit-identical record walk instead.  The default of 1
+    /// materializes everything; `usize::MAX` materializes nothing, so
+    /// every read is the record walk.
     pub fn with_materialize_threshold(mut self, threshold: usize) -> Self {
-        if let Some(index) = &mut self.index {
-            index.materialize_threshold = threshold.max(1);
-        }
+        self.index.materialize_threshold = threshold.max(1);
         self
     }
 
-    /// The index materialization threshold (1 under `Rebuild`).
+    /// The index materialization threshold.
     pub fn materialize_threshold(&self) -> usize {
-        self.index.as_ref().map_or(1, |i| i.materialize_threshold)
+        self.index.materialize_threshold
     }
 
     /// Pushes the record of a new quantum.  Returns the record that slid
@@ -907,24 +873,23 @@ impl WindowState {
 
     /// Like [`Self::push`], but reuses caller-owned kernel lanes for the
     /// sub-sketch builds — the detector's hot path threads its
-    /// [`crate::scratch::ScratchArena`] lanes through here so steady-state
-    /// quanta fold without allocating.
+    /// `ScratchArena` lanes through here so steady-state quanta fold
+    /// without allocating.
     pub fn push_with_lanes(
         &mut self,
         record: QuantumRecord,
         lanes: &mut SketchLanes,
     ) -> Option<QuantumRecord> {
-        if let Some(index) = &mut self.index {
-            index.insert_record(&record, &self.hasher, &self.window, lanes);
-        }
+        self.index
+            .insert_record(&record, &self.hasher, &self.window, lanes);
         self.window.push_back(record);
         let evicted = if self.window.len() > self.capacity {
             self.window.pop_front()
         } else {
             None
         };
-        if let (Some(index), Some(old)) = (&mut self.index, &evicted) {
-            index.remove_record(old);
+        if let Some(old) = &evicted {
+            self.index.remove_record(old);
         }
         evicted
     }
@@ -962,7 +927,7 @@ impl WindowState {
     /// The live index entry for `keyword`, if materialized.
     #[inline]
     fn index_entry(&self, keyword: KeywordId) -> Option<&KeywordWindowEntry> {
-        self.index.as_ref().and_then(|index| index.entry(keyword))
+        self.index.entry(keyword)
     }
 
     /// Distinct users that mentioned `keyword` anywhere in the window.
@@ -970,8 +935,8 @@ impl WindowState {
         if let Some(entry) = self.index_entry(keyword) {
             return entry.users.iter().map(|&(u, _)| u).collect();
         }
-        // Rebuild mode, or a keyword below the materialization threshold:
-        // walk the records (bit-identical to the indexed read).
+        // A keyword below the materialization threshold: walk the records
+        // (bit-identical to the indexed read).
         let mut users = FxHashSet::default();
         for record in &self.window {
             users.extend(record.users_of(keyword).iter().copied());
@@ -1003,41 +968,11 @@ impl WindowState {
     }
 
     /// Borrows the cached window sketch of `keyword` without cloning.
-    /// Only the incremental index caches sketches, so this returns `None`
-    /// under [`WindowIndexMode::Rebuild`] and for keywords without a
-    /// materialized entry (not in the window, or below the
-    /// materialization threshold); callers fall back to
-    /// [`Self::window_sketch`], which walks the records.
+    /// Returns `None` for keywords without a materialized index entry (not
+    /// in the window, or below the materialization threshold); callers
+    /// fall back to [`Self::window_sketch`], which walks the records.
     pub fn window_sketch_ref(&self, keyword: KeywordId) -> Option<&MinHashSketch> {
         self.index_entry(keyword).map(|e| e.sketches.merged())
-    }
-
-    /// Builds the window sketch of every keyword in `keywords`, fanning out
-    /// over keyword shards per `parallelism`.  Results come back in input
-    /// order and are identical to calling [`Self::window_sketch`] per key.
-    pub fn window_sketches(
-        &self,
-        keywords: &[KeywordId],
-        parallelism: Parallelism,
-    ) -> Vec<MinHashSketch> {
-        if self.index.is_some() {
-            // Cached-sketch clones; still sharded so huge candidate sets
-            // fan out, but each shard item is O(p) instead of O(w · Δ).
-            return par_map(parallelism, keywords, |&keyword| {
-                self.window_sketch(keyword)
-            });
-        }
-        dengraph_minhash::build_sketches(
-            parallelism,
-            self.sketch_size,
-            &self.hasher,
-            keywords,
-            |&keyword, hasher, sketch, lanes| {
-                for record in &self.window {
-                    sketch.insert_batch(hasher, record.users_of(keyword), |u| u.raw(), lanes);
-                }
-            },
-        )
     }
 
     /// Builds the exact window user set of every keyword in `keywords`,
@@ -1131,12 +1066,11 @@ impl WindowState {
     ///   covers the flat user column contiguously and exactly, and each
     ///   span's user run is non-empty and strictly ascending (the
     ///   invariant `fold_pairs` owns);
-    /// * under [`WindowIndexMode::Incremental`]: the live-entry count
-    ///   matches, every keyword some record brought at least
-    ///   `materialize_threshold` users is materialized, and each entry's
-    ///   refcount column, recency mark, per-quantum epoch list and cached
-    ///   merged sketch are identical to a from-scratch rebuild over the
-    ///   records.
+    /// * the index's live-entry count matches, every keyword some record
+    ///   brought at least `materialize_threshold` users is materialized,
+    ///   and each entry's refcount column, recency mark, per-quantum epoch
+    ///   list and cached merged sketch are identical to a from-scratch
+    ///   rebuild over the records.
     pub fn validate_invariants(&self) -> Result<(), String> {
         if self.window.len() > self.capacity {
             return Err(format!(
@@ -1187,9 +1121,7 @@ impl WindowState {
                 ));
             }
         }
-        let Some(index) = &self.index else {
-            return Ok(());
-        };
+        let index = &self.index;
         if index.sketch_size != self.sketch_size {
             return Err(format!(
                 "index sketch size {} disagrees with the window's {}",
@@ -1277,33 +1209,22 @@ impl WindowState {
     }
 
     /// Serialises the window — capacity, sketch parameters, hasher seed,
-    /// the retained quantum records (oldest first) and, under
-    /// [`WindowIndexMode::Incremental`], the live per-keyword index with
-    /// its sub-sketch stores.
+    /// the retained quantum records (oldest first) and the live
+    /// per-keyword index with its sub-sketch stores.  The `mode` key is
+    /// always `"incremental"`: it survives from the retired `Rebuild` mode
+    /// so older checkpoints keep their layout.
     pub fn to_json(&self) -> dengraph_json::Value {
         use dengraph_json::Value;
         Value::obj([
             ("capacity", Value::from(self.capacity)),
             ("sketch_size", Value::from(self.sketch_size)),
             ("seed", Value::from(self.hasher.seed())),
-            (
-                "mode",
-                Value::str(match self.mode() {
-                    WindowIndexMode::Rebuild => "rebuild",
-                    WindowIndexMode::Incremental => "incremental",
-                }),
-            ),
+            ("mode", Value::str(INCREMENTAL_KEY)),
             (
                 "records",
                 Value::arr(self.window.iter().map(|r| r.to_json())),
             ),
-            (
-                "index",
-                match &self.index {
-                    Some(index) => index.to_json(),
-                    None => Value::Null,
-                },
-            ),
+            ("index", self.index.to_json()),
         ])
     }
 
@@ -1311,26 +1232,8 @@ impl WindowState {
     /// window serves bit-identical reads to the original: records, index
     /// multisets, cached sketches and recency marks all round-trip exactly.
     pub fn from_json(value: &dengraph_json::Value) -> dengraph_json::Result<Self> {
-        let mode = match value.get("mode")?.as_str()? {
-            "rebuild" => WindowIndexMode::Rebuild,
-            "incremental" => WindowIndexMode::Incremental,
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window mode '{other}'"),
-                    offset: 0,
-                })
-            }
-        };
-        let index = match (mode, value.get_opt("index")?) {
-            (WindowIndexMode::Rebuild, _) => None,
-            (WindowIndexMode::Incremental, Some(v)) => Some(WindowIndex::from_json(v)?),
-            (WindowIndexMode::Incremental, None) => {
-                return Err(dengraph_json::JsonError {
-                    message: "incremental window is missing its index".into(),
-                    offset: 0,
-                })
-            }
-        };
+        check_incremental_key("window mode", value.get("mode")?.as_str()?)?;
+        let index = WindowIndex::from_json(value.get("index")?)?;
         let window: VecDeque<QuantumRecord> = value
             .get("records")?
             .as_arr()?
@@ -1359,23 +1262,18 @@ impl WindowState {
     }
 
     /// Appends the compact binary encoding — geometry, hasher seed, the
-    /// retained records (oldest first) and, in incremental mode, the live
-    /// index.
+    /// mode byte (always 1, kept from the retired `Rebuild` mode), the
+    /// retained records (oldest first) and the live index.
     pub fn to_bin(&self, w: &mut dengraph_json::BinWriter) {
         w.usize(self.capacity);
         w.usize(self.sketch_size);
         w.u64(self.hasher.seed());
-        w.byte(match self.mode() {
-            WindowIndexMode::Rebuild => 0,
-            WindowIndexMode::Incremental => 1,
-        });
+        w.byte(INCREMENTAL_BYTE);
         w.usize(self.window.len());
         for record in &self.window {
             record.to_bin(w);
         }
-        if let Some(index) = &self.index {
-            index.to_bin(w);
-        }
+        self.index.to_bin(w);
     }
 
     /// Reconstructs a window encoded by [`Self::to_bin`].
@@ -1391,25 +1289,13 @@ impl WindowState {
         };
         let sketch_size = r.usize()?;
         let seed = r.u64()?;
-        let mode = match r.byte()? {
-            0 => WindowIndexMode::Rebuild,
-            1 => WindowIndexMode::Incremental,
-            other => {
-                return Err(dengraph_json::JsonError {
-                    message: format!("unknown window mode byte {other}"),
-                    offset: r.pos(),
-                })
-            }
-        };
+        check_incremental_byte("window mode", r)?;
         let records = r.seq_len(2)?;
         let mut window = VecDeque::with_capacity(records.min(capacity + 1));
         for _ in 0..records {
             window.push_back(QuantumRecord::from_bin(r)?);
         }
-        let index = match mode {
-            WindowIndexMode::Rebuild => None,
-            WindowIndexMode::Incremental => Some(WindowIndex::from_bin(r)?),
-        };
+        let index = WindowIndex::from_bin(r)?;
         Ok(Self {
             window,
             capacity,
@@ -1791,43 +1677,55 @@ mod tests {
         ));
         assert_eq!(*w.window_sketch_ref(k(10)).unwrap(), w.window_sketch(k(10)));
         assert!(w.window_sketch_ref(k(99)).is_none());
-        let rebuild = WindowState::with_mode(3, 4, UserHasher::new(7), WindowIndexMode::Rebuild);
-        assert!(rebuild.window_sketch_ref(k(10)).is_none());
+        let mut unindexed = record_walk_window(3, UserHasher::new(7));
+        unindexed.push(QuantumRecord::from_messages(
+            0,
+            &[msg(1, 0, &[10]), msg(2, 1, &[10])],
+        ));
+        assert!(unindexed.window_sketch_ref(k(10)).is_none());
+        assert_eq!(unindexed.window_sketch(k(10)), w.window_sketch(k(10)));
     }
 
-    /// Builds the same random-ish record stream into one window per mode
-    /// and checks every per-keyword read agrees bit-for-bit.
-    fn assert_modes_agree(capacity: usize, quanta: &[Vec<Message>]) {
+    /// A window that materializes nothing: every read is the record walk,
+    /// the from-scratch reference the index is checked against.
+    fn record_walk_window(capacity: usize, hasher: UserHasher) -> WindowState {
+        WindowState::new(capacity, 4, hasher).with_materialize_threshold(usize::MAX)
+    }
+
+    /// Builds the same random-ish record stream into an indexed window and
+    /// a record-walk window and checks every per-keyword read agrees
+    /// bit-for-bit.
+    fn assert_index_matches_record_walk(capacity: usize, quanta: &[Vec<Message>]) {
         let hasher = || UserHasher::new(0xFACE);
-        let mut rebuild = WindowState::with_mode(capacity, 4, hasher(), WindowIndexMode::Rebuild);
-        let mut incremental =
-            WindowState::with_mode(capacity, 4, hasher(), WindowIndexMode::Incremental);
+        let mut walk = record_walk_window(capacity, hasher());
+        let mut incremental = WindowState::new(capacity, 4, hasher());
         for (q, msgs) in quanta.iter().enumerate() {
             let record = QuantumRecord::from_messages(q as u64, msgs);
-            let ev_a = rebuild.push(record.clone());
+            let ev_a = walk.push(record.clone());
             let ev_b = incremental.push(record);
             assert_eq!(ev_a.map(|r| r.index), ev_b.map(|r| r.index));
-            let mut keywords: Vec<KeywordId> = rebuild.keywords_in_window().into_iter().collect();
+            incremental.validate_invariants().unwrap();
+            let mut keywords: Vec<KeywordId> = walk.keywords_in_window().into_iter().collect();
             keywords.push(k(999_999)); // a keyword never in the window
             keywords.sort_unstable();
             assert_eq!(keywords.len() - 1, incremental.keywords_in_window().len());
             for &kw in &keywords {
                 assert_eq!(
-                    rebuild.window_user_set(kw),
+                    walk.window_user_set(kw),
                     incremental.window_user_set(kw),
                     "user set diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
-                    rebuild.window_user_count(kw),
+                    walk.window_user_count(kw),
                     incremental.window_user_count(kw)
                 );
                 assert_eq!(
-                    rebuild.window_sketch(kw),
+                    walk.window_sketch(kw),
                     incremental.window_sketch(kw),
                     "sketch diverged for {kw:?} at quantum {q}"
                 );
-                assert_eq!(rebuild.last_seen(kw), incremental.last_seen(kw));
-                assert_eq!(rebuild.is_stale(kw), incremental.is_stale(kw));
+                assert_eq!(walk.last_seen(kw), incremental.last_seen(kw));
+                assert_eq!(walk.is_stale(kw), incremental.is_stale(kw));
             }
         }
     }
@@ -1859,21 +1757,13 @@ mod tests {
             quanta.push(msgs);
         }
         for capacity in [1, 2, 5] {
-            assert_modes_agree(capacity, &quanta);
+            assert_index_matches_record_walk(capacity, &quanta);
         }
     }
 
     #[test]
-    fn both_modes_report_their_mode() {
-        let w = WindowState::new(2, 4, UserHasher::new(1));
-        assert_eq!(w.mode(), WindowIndexMode::Incremental);
-        let w = WindowState::with_mode(2, 4, UserHasher::new(1), WindowIndexMode::Rebuild);
-        assert_eq!(w.mode(), WindowIndexMode::Rebuild);
-    }
-
-    #[test]
     fn rebuild_mode_behaves_like_incremental_on_the_basics() {
-        let mut w = WindowState::with_mode(2, 4, UserHasher::new(7), WindowIndexMode::Rebuild);
+        let mut w = record_walk_window(2, UserHasher::new(7));
         w.push(QuantumRecord::from_messages(0, &[msg(1, 0, &[10])]));
         w.push(QuantumRecord::from_messages(1, &[msg(2, 1, &[10])]));
         assert_eq!(w.window_user_count(k(10)), 2);

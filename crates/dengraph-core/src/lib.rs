@@ -77,11 +77,10 @@ pub mod wal;
 pub use akg::{AkgMaintainer, GraphDelta};
 pub use checkpoint::{CheckpointJournal, CheckpointMode, DeltaRecord};
 pub use cluster::{Cluster, ClusterId, ClusterMaintainer, ClusterRegistry};
-pub use config::{ComponentIndexMode, ConfigError, DetectorConfig, Parallelism};
+pub use config::{ConfigError, DetectorConfig, Parallelism};
 pub use dengraph_json::WireFormat;
 pub use detector::{EventDetector, QuantumSummary, StageTimes};
 pub use event::{DetectedEvent, EventRecord, EventTracker};
-pub use keyword_state::WindowIndexMode;
 pub use ranking::cluster_rank;
 pub use session::{
     Checkpoint, DetectorBuilder, DetectorSession, EventSink, FnSink, JsonLinesSink,

@@ -18,8 +18,9 @@
 //!   AKG, cluster registry, event tracker, partial message buffer,
 //!   counters) and [`DetectorSession::restore`] resumes it such that
 //!   restore-then-continue is **bit-identical** to the uninterrupted run —
-//!   across every `Parallelism` × `WindowIndexMode` profile
-//!   (`tests/checkpoint_resume.rs` gates this).
+//!   across every `Parallelism` profile, including windows whose index
+//!   leaves keywords unmaterialized (`tests/checkpoint_resume.rs` gates
+//!   this).
 //!
 //! ```
 //! use dengraph_core::{DetectorBuilder, DetectorSession, VecSink};
@@ -60,7 +61,7 @@ use dengraph_stream::{Message, Quantum};
 use dengraph_text::KeywordInterner;
 
 use crate::checkpoint::{self, CheckpointJournal, CheckpointMode};
-use crate::config::{ConfigError, DetectorConfig, Parallelism, WindowIndexMode};
+use crate::config::{ConfigError, DetectorConfig, Parallelism};
 use crate::detector::{EventDetector, QuantumSummary};
 use crate::event::EventRecord;
 use crate::wal::{self, DurableJournalConfig, RecoveryReport};
@@ -168,12 +169,6 @@ impl DetectorBuilder {
     /// Sets the pipeline parallelism.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.config.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the sliding-window index mode.
-    pub fn window_index_mode(mut self, mode: WindowIndexMode) -> Self {
-        self.config.window_index_mode = mode;
         self
     }
 

@@ -16,8 +16,6 @@
 //!   merge / overlap / estimation operations.
 //! * [`jaccard`] — exact Jaccard helpers used by tests, the evaluation
 //!   harness and the ablation benchmarks.
-//! * [`batch`] — batch sketch construction over keyword shards, fanned out
-//!   via `dengraph-parallel` with deterministic (input-order) results.
 //! * [`store`] — [`EpochSketchStore`], a mergeable per-epoch sub-sketch
 //!   store for incremental sliding-window sketch maintenance.
 //! * [`kernel`] — the batch struct-of-arrays kernels behind all of the
@@ -25,14 +23,12 @@
 //!   sorted-minima merging and an LSD radix sort for packed pair columns,
 //!   each bit-identical to its scalar reference.
 
-pub mod batch;
 pub mod hasher;
 pub mod jaccard;
 pub mod kernel;
 pub mod sketch;
 pub mod store;
 
-pub use batch::build_sketches;
 pub use hasher::{HashFamily, UserHasher};
 pub use jaccard::{exact_jaccard, exact_jaccard_sorted, overlap_coefficient_sorted};
 pub use kernel::{JoinScratch, SketchLanes};

@@ -18,7 +18,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dengraph_core::{DetectorBuilder, DetectorConfig, Parallelism, WindowIndexMode};
+use dengraph_core::{DetectorBuilder, DetectorConfig, Parallelism};
 use dengraph_stream::{Message, Quantum, UserId};
 use dengraph_text::KeywordId;
 
@@ -87,7 +87,6 @@ fn steady_state_quanta_allocate_a_small_constant() {
         high_state_threshold: 3,
         window_quanta: 8,
         parallelism: Parallelism::Serial,
-        window_index_mode: WindowIndexMode::Incremental,
         ..DetectorConfig::nominal()
     };
     let mut session = DetectorBuilder::from_config(config)

@@ -13,10 +13,10 @@
 //! fresh session, run M more quanta — and the concatenated
 //! `QuantumSummary` stream plus the final long-term event records must be
 //! **bit-identical** to an uninterrupted N+M run.  Checked across window
-//! sizes × `Parallelism` × `WindowIndexMode` × `CheckpointMode`, with the
-//! full-snapshot split placed mid-quantum so the partial message buffer
-//! round-trips too (journal restores resume at the last completed
-//! quantum boundary and re-feed the partial tail).
+//! sizes × `Parallelism` × `CheckpointMode`, with the full-snapshot split
+//! placed mid-quantum so the partial message buffer round-trips too
+//! (journal restores resume at the last completed quantum boundary and
+//! re-feed the partial tail).
 //!
 //! **Size targets** — the binary full checkpoint must be at most half
 //! the JSON one, and steady-state journal delta records at least 10×
@@ -29,7 +29,7 @@ use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
 use dengraph_core::{
     Checkpoint, CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, Parallelism,
-    QuantumSummary, VecSink, WindowIndexMode, WireFormat,
+    QuantumSummary, VecSink, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
 use dengraph_minhash::{EpochSketchStore, MinHashSketch, UserHasher};
@@ -128,9 +128,11 @@ fn window_state_round_trips_under_random_workloads() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x71D0_1000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-            let mut window =
-                WindowState::with_mode(capacity, sketch_size, UserHasher::new(0xBEEF), mode);
+        // Threshold 3 leaves some keywords unindexed, so the round trip
+        // covers windows whose reads fall back to the record walk.
+        for threshold in [1usize, 3] {
+            let mut window = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF))
+                .with_materialize_threshold(threshold);
             let quanta = rng.gen_range(1..16u64);
             for q in 0..quanta {
                 let messages = random_messages(&mut rng, q);
@@ -138,7 +140,10 @@ fn window_state_round_trips_under_random_workloads() {
             }
             let text = dengraph_json::to_string(&window.to_json());
             let back = WindowState::from_json(&dengraph_json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, window, "case {case} mode {mode:?}: window diverged");
+            assert_eq!(
+                back, window,
+                "case {case} threshold {threshold}: window diverged"
+            );
             // Probe the reads the detector actually issues.
             for kw in (0..10u32).map(KeywordId) {
                 assert_eq!(back.window_sketch(kw), window.window_sketch(kw));
@@ -300,38 +305,35 @@ fn mid_stream_restore_is_bit_identical_across_profiles() {
 
     for window_quanta in [6usize, 12] {
         for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-            for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-                let config = DetectorConfig::nominal()
-                    .with_window_quanta(window_quanta)
-                    .with_parallelism(parallelism)
-                    .with_window_index_mode(mode);
+            let config = DetectorConfig::nominal()
+                .with_window_quanta(window_quanta)
+                .with_parallelism(parallelism);
 
-                let mut uninterrupted = build(&trace, &config);
-                let full = uninterrupted.run(&trace.messages);
+            let mut uninterrupted = build(&trace, &config);
+            let full = uninterrupted.run(&trace.messages);
 
-                for cut in [
-                    Cut::JsonString,
-                    Cut::BinaryBytes,
-                    Cut::Journal(CheckpointMode::Delta { every: 3 }),
-                    Cut::Journal(CheckpointMode::Full),
-                ] {
-                    let label = format!("w={window_quanta} {parallelism} {mode:?} {cut:?}");
-                    let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
+            for cut in [
+                Cut::JsonString,
+                Cut::BinaryBytes,
+                Cut::Journal(CheckpointMode::Delta { every: 3 }),
+                Cut::Journal(CheckpointMode::Full),
+            ] {
+                let label = format!("w={window_quanta} {parallelism} {cut:?}");
+                let (stitched, resumed) = run_with_interruption(&trace, &config, split, cut);
 
-                    assert_eq!(
-                        canonical(&full),
-                        canonical(&stitched),
-                        "{label}: summary stream diverged after restore"
-                    );
-                    assert_eq!(
-                        format!("{:#?}", uninterrupted.event_records()),
-                        format!("{:#?}", resumed.event_records()),
-                        "{label}: long-term event records diverged after restore"
-                    );
-                    assert_eq!(uninterrupted.total_messages(), resumed.total_messages());
-                    assert_eq!(uninterrupted.quanta_processed(), resumed.quanta_processed());
-                    assert_component_index_restored(&uninterrupted, &resumed, &label);
-                }
+                assert_eq!(
+                    canonical(&full),
+                    canonical(&stitched),
+                    "{label}: summary stream diverged after restore"
+                );
+                assert_eq!(
+                    format!("{:#?}", uninterrupted.event_records()),
+                    format!("{:#?}", resumed.event_records()),
+                    "{label}: long-term event records diverged after restore"
+                );
+                assert_eq!(uninterrupted.total_messages(), resumed.total_messages());
+                assert_eq!(uninterrupted.quanta_processed(), resumed.quanta_processed());
+                assert_component_index_restored(&uninterrupted, &resumed, &label);
             }
         }
     }

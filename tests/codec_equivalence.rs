@@ -24,10 +24,10 @@ use dengraph_core::cluster::{edge_addition, edge_deletion, ClusterRegistry};
 use dengraph_core::keyword_state::{KeywordStateMachine, QuantumRecord, WindowState};
 use dengraph_core::{
     CheckpointMode, DetectedEvent, DetectorBuilder, DetectorConfig, DetectorSession, EventTracker,
-    Parallelism, WindowIndexMode, WireFormat,
+    Parallelism, WireFormat,
 };
 use dengraph_graph::{DynamicGraph, NodeId};
-use dengraph_json::{Decode, Encode};
+use dengraph_json::{BinWriter, Decode, Encode};
 use dengraph_minhash::{EpochSketchStore, MinHashSketch, UserHasher};
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, UserId};
@@ -155,16 +155,21 @@ fn window_state_codecs_agree() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_4000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-            let mut window =
-                WindowState::with_mode(capacity, sketch_size, UserHasher::new(0xBEEF), mode);
+        // Threshold 3 leaves some keywords unindexed, so both codecs see
+        // windows whose reads fall back to the record walk.
+        for threshold in [1usize, 3] {
+            let mut window = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF))
+                .with_materialize_threshold(threshold);
             for q in 0..rng.gen_range(1..16u64) {
                 window.push(QuantumRecord::from_messages(
                     q,
                     &random_messages(&mut rng, q),
                 ));
             }
-            assert_codecs_agree(&window, &format!("window case {case} mode {mode:?}"));
+            assert_codecs_agree(
+                &window,
+                &format!("window case {case} threshold {threshold}"),
+            );
         }
     }
 }
@@ -254,12 +259,86 @@ fn detector_config_codecs_agree() {
             require_noun: false,
             rank_threshold_factor: 1.25,
             parallelism: Parallelism::Threads(4),
-            window_index_mode: WindowIndexMode::Rebuild,
             ..DetectorConfig::nominal()
         },
     ] {
         assert_codecs_agree(&config, "config");
     }
+}
+
+/// Asserts that decoding failed with an error naming the retired
+/// `rebuild` index mode.
+fn assert_rejects_rebuild<T: std::fmt::Debug>(decoded: dengraph_json::Result<T>, label: &str) {
+    match decoded {
+        Ok(value) => panic!("{label}: retired rebuild tag decoded to {value:?}"),
+        Err(e) => assert!(
+            e.message.contains("'rebuild'"),
+            "{label}: error does not name the retired mode: {}",
+            e.message
+        ),
+    }
+}
+
+/// The window and component index-mode tags stay in both wire formats,
+/// always written as `1` / `"incremental"`; the retired `Rebuild` value
+/// (`0` / `"rebuild"`) is rejected by name instead of being restored.
+#[test]
+fn retired_rebuild_index_tags_are_rejected() {
+    let config = DetectorConfig::nominal();
+    let bin = config.encode(WireFormat::Binary);
+    let json = String::from_utf8(config.encode(WireFormat::Json)).unwrap();
+    // The config's binary layout ends with the window and component tags.
+    for tag_from_end in [2, 1] {
+        let mut bytes = bin.clone();
+        let at = bytes.len() - tag_from_end;
+        assert_eq!(bytes[at], 1, "the tag is always written as incremental");
+        bytes[at] = 0;
+        assert_rejects_rebuild(
+            DetectorConfig::decode(&bytes, WireFormat::Binary),
+            &format!("config binary tag {tag_from_end} from the end"),
+        );
+    }
+    for key in ["window_index_mode", "component_index_mode"] {
+        let incremental = format!("\"{key}\":\"incremental\"");
+        assert!(json.contains(&incremental), "config json lacks {key}");
+        let retired = json.replace(&incremental, &format!("\"{key}\":\"rebuild\""));
+        assert_rejects_rebuild(
+            DetectorConfig::decode(retired.as_bytes(), WireFormat::Json),
+            &format!("config json {key}"),
+        );
+    }
+
+    let mut window = WindowState::new(4, 8, UserHasher::new(0xBEEF));
+    let mut rng = ChaCha8Rng::seed_from_u64(0x0DEC_8000);
+    for q in 0..3 {
+        window.push(QuantumRecord::from_messages(
+            q,
+            &random_messages(&mut rng, q),
+        ));
+    }
+    // The window's tag byte follows capacity, sketch size and hasher seed.
+    let mut header = BinWriter::new();
+    header.usize(4);
+    header.usize(8);
+    header.u64(0xBEEF);
+    let mut bytes = window.encode(WireFormat::Binary);
+    assert_eq!(
+        bytes[header.len()],
+        1,
+        "the tag is always written as incremental"
+    );
+    bytes[header.len()] = 0;
+    assert_rejects_rebuild(
+        WindowState::decode(&bytes, WireFormat::Binary),
+        "window binary",
+    );
+    let json = String::from_utf8(window.encode(WireFormat::Json)).unwrap();
+    assert!(json.contains("\"mode\":\"incremental\""));
+    let retired = json.replace("\"mode\":\"incremental\"", "\"mode\":\"rebuild\"");
+    assert_rejects_rebuild(
+        WindowState::decode(retired.as_bytes(), WireFormat::Json),
+        "window json",
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Golden digests of the detector's output.
 //!
 //! Every other equivalence suite compares one mode of the code with
-//! another (serial vs parallel, incremental vs rebuild, restored vs
+//! another (serial vs parallel, indexed vs record walk, restored vs
 //! uninterrupted), so a change that shifts both sides alike passes all of
 //! them.  This suite pins the output itself: for one seeded trace of each
 //! stream profile it hashes, with a dependency-free 64-bit FNV-1a,

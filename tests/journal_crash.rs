@@ -8,7 +8,7 @@
 //! never silently dropping a frame that survived the cut.  Resuming the
 //! recovered session over the remaining stream must then be
 //! **bit-identical** to the uninterrupted run (summary stream and final
-//! binary checkpoint), across `Parallelism` × `WindowIndexMode`.
+//! binary checkpoint), serial and sharded.
 //!
 //! When a cut case fails, the truncated journal directory is copied to
 //! `target/journal-crash-repro/<case>/` before the panic propagates, so
@@ -28,8 +28,7 @@ use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::{
     CheckpointMode, DetectorBuilder, DetectorConfig, DetectorSession, DurableJournalConfig,
-    FsyncPolicy, JournalFrameEvent, JournalReader, Parallelism, QuantumSummary, WindowIndexMode,
-    WireFormat,
+    FsyncPolicy, JournalFrameEvent, JournalReader, Parallelism, QuantumSummary, WireFormat,
 };
 use dengraph_stream::generator::profiles::{tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace};
@@ -208,11 +207,10 @@ fn repro_root() -> PathBuf {
 
 const QUANTA: usize = 12;
 
-fn crash_matrix_config(parallelism: Parallelism, mode: WindowIndexMode) -> DetectorConfig {
+fn crash_matrix_config(parallelism: Parallelism) -> DetectorConfig {
     DetectorConfig::nominal()
         .with_window_quanta(6)
         .with_parallelism(parallelism)
-        .with_window_index_mode(mode)
 }
 
 /// Restores from the truncated journal at `case_dir` and checks the full
@@ -301,18 +299,13 @@ fn kill_at_any_byte_recovers_to_last_durable_quantum() {
         segment_bytes: 16 * 1024,
     };
 
-    for (case, (parallelism, mode)) in [
-        (Parallelism::Serial, WindowIndexMode::Incremental),
-        (Parallelism::Serial, WindowIndexMode::Rebuild),
-        (Parallelism::Threads(4), WindowIndexMode::Incremental),
-        (Parallelism::Threads(4), WindowIndexMode::Rebuild),
-    ]
-    .into_iter()
-    .enumerate()
+    for (case, parallelism) in [Parallelism::Serial, Parallelism::Threads(4)]
+        .into_iter()
+        .enumerate()
     {
-        let config = crash_matrix_config(parallelism, mode);
+        let config = crash_matrix_config(parallelism);
         let messages = &trace.messages[..QUANTA * config.quantum_size];
-        let label = format!("{parallelism}-{mode:?}").to_lowercase();
+        let label = parallelism.to_string().to_lowercase();
         let dir = scratch_dir(&format!("kill-{label}"));
         let reference = run_journaled(&trace, messages, &config, &dir, durable);
         assert_eq!(reference.quanta, QUANTA as u64);

@@ -5,9 +5,7 @@
 //! mutation phase applies in canonical order — and this test is the gate
 //! that keeps it that way.
 
-use dengraph_core::{
-    ComponentIndexMode, DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary,
-};
+use dengraph_core::{DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary};
 use dengraph_stream::generator::profiles::{dense_profile, es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{StreamGenerator, Trace};
 
@@ -139,15 +137,11 @@ fn multi_component_cluster_maintenance_is_deterministic() {
         .with_quantum_size(quantum_size)
         .with_high_state_threshold(4)
         .with_window_quanta(6);
-    let run = |parallelism: Parallelism, mode: ComponentIndexMode| {
-        let mut session = DetectorBuilder::from_config(
-            config
-                .clone()
-                .with_parallelism(parallelism)
-                .with_component_index_mode(mode),
-        )
-        .build()
-        .expect("valid config");
+    let run = |parallelism: Parallelism| {
+        let mut session =
+            DetectorBuilder::from_config(config.clone().with_parallelism(parallelism))
+                .build()
+                .expect("valid config");
         let summaries = session.run(&messages);
         session
             .validate_invariants()
@@ -160,50 +154,51 @@ fn multi_component_cluster_maintenance_is_deterministic() {
         clusters.sort();
         (canonical(&summaries), clusters)
     };
-    let serial = run(Parallelism::Serial, ComponentIndexMode::Incremental);
+    let serial = run(Parallelism::Serial);
     assert!(
         !serial.1.is_empty(),
         "fixture must end with live clusters to compare"
     );
-    for mode in [ComponentIndexMode::Incremental, ComponentIndexMode::Rebuild] {
-        for threads in [2usize, 4, 8] {
-            let parallel = run(Parallelism::Threads(threads), mode);
-            assert_eq!(
-                serial.0, parallel.0,
-                "stage-3 sharded run diverged from serial at {threads} threads ({mode:?})"
-            );
-            assert_eq!(
-                serial.1, parallel.1,
-                "final cluster state diverged at {threads} threads ({mode:?})"
-            );
-        }
+    for threads in [2usize, 4, 8] {
+        let parallel = run(Parallelism::Threads(threads));
+        assert_eq!(
+            serial.0, parallel.0,
+            "stage-3 sharded run diverged from serial at {threads} threads"
+        );
+        assert_eq!(
+            serial.1, parallel.1,
+            "final cluster state diverged at {threads} threads"
+        );
     }
 }
 
-/// The two stage-3 partitioners — the persistent incremental component
-/// index (plus its transient delta overlay) and the from-scratch
-/// `NodeComponents` rebuild — must agree bit-for-bit on the dense pulsing
-/// trace, whose mortal families are periodically torn out of the AKG by
-/// stale removal.  Those teardown quanta split persistent components, so
-/// this is the gate that the deletion-repair overlay keeps the indexed
-/// partition sound; cluster ids are compared, not just cluster contents.
+/// The stage-3 partition comes from the persistent incremental component
+/// index (plus its transient delta overlay).  On the dense pulsing trace,
+/// whose mortal families are periodically torn out of the AKG by stale
+/// removal, the index must match a from-scratch recompute of the AKG's
+/// components after every quantum
+/// ([`ComponentIndex::validate_against`](dengraph_graph::ComponentIndex::validate_against),
+/// run by `validate_invariants`), and the sharded run must agree with the
+/// serial one bit-for-bit.  Those teardown quanta split persistent
+/// components, so this is the gate that the deletion-repair overlay keeps
+/// the indexed partition sound; cluster ids are compared, not just cluster
+/// contents.
 #[test]
 fn incremental_index_partition_matches_rebuild_partition_on_dense_trace() {
     let trace = StreamGenerator::new(dense_profile(36, ProfileScale::Small)).generate();
     let base = DetectorConfig::nominal().with_window_quanta(24);
-    let run = |parallelism: Parallelism, mode: ComponentIndexMode| {
-        let mut session = DetectorBuilder::from_config(
-            base.clone()
-                .with_parallelism(parallelism)
-                .with_component_index_mode(mode),
-        )
-        .interner(trace.interner.clone())
-        .build()
-        .expect("valid config");
-        let summaries = session.run(&trace.messages);
-        session
-            .validate_invariants()
-            .expect("structural invariants must hold after the dense trace");
+    let run = |parallelism: Parallelism| {
+        let mut session = DetectorBuilder::from_config(base.clone().with_parallelism(parallelism))
+            .interner(trace.interner.clone())
+            .build()
+            .expect("valid config");
+        let mut summaries = Vec::new();
+        for chunk in trace.messages.chunks(base.quantum_size) {
+            summaries.extend(session.run(chunk));
+            session
+                .validate_invariants()
+                .expect("structural invariants must hold after every dense-trace quantum");
+        }
         let mut clusters: Vec<String> = session
             .clusters()
             .clusters()
@@ -212,22 +207,20 @@ fn incremental_index_partition_matches_rebuild_partition_on_dense_trace() {
         clusters.sort();
         (canonical(&summaries), clusters)
     };
-    let reference = run(Parallelism::Serial, ComponentIndexMode::Incremental);
+    let reference = run(Parallelism::Serial);
     assert!(
         !reference.1.is_empty(),
         "the dense trace must end with live clusters to compare"
     );
-    for mode in [ComponentIndexMode::Incremental, ComponentIndexMode::Rebuild] {
-        let parallel = run(Parallelism::Threads(4), mode);
-        assert_eq!(
-            reference.0, parallel.0,
-            "dense-trace summaries diverged from serial under {mode:?}"
-        );
-        assert_eq!(
-            reference.1, parallel.1,
-            "dense-trace cluster state (ids included) diverged under {mode:?}"
-        );
-    }
+    let parallel = run(Parallelism::Threads(4));
+    assert_eq!(
+        reference.0, parallel.0,
+        "dense-trace summaries diverged from serial"
+    );
+    assert_eq!(
+        reference.1, parallel.1,
+        "dense-trace cluster state (ids included) diverged"
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! and the effect of the window length — the Section 3.1 mechanics observed
 //! through the public API.
 
-use dengraph_core::{DetectorBuilder, DetectorConfig, DetectorSession, WindowIndexMode};
+use dengraph_core::{DetectorBuilder, DetectorConfig, DetectorSession};
 use dengraph_stream::{Message, Quantum, UserId};
 use dengraph_text::KeywordId;
 
@@ -172,47 +172,45 @@ fn quantum_size_controls_burstiness_sensitivity() {
 }
 
 /// A fully empty quantum fed through `process_quantum` must still slide
-/// the window and advance stale accounting — in both window index modes.
+/// the window and advance stale accounting.
 #[test]
 fn empty_quantum_slides_the_window_and_advances_stale_accounting() {
-    for mode in [WindowIndexMode::Rebuild, WindowIndexMode::Incremental] {
-        let cfg = config(3).with_window_index_mode(mode);
-        let mut det = DetectorBuilder::from_config(cfg.clone())
-            .build()
-            .expect("valid config");
-        feed(&mut det, quantum(&cfg, 6, 100, &[1, 2, 3], 0));
-        assert_eq!(det.clusters().cluster_count(), 1, "{mode:?}");
+    let cfg = config(3);
+    let mut det = DetectorBuilder::from_config(cfg.clone())
+        .build()
+        .expect("valid config");
+    feed(&mut det, quantum(&cfg, 6, 100, &[1, 2, 3], 0));
+    assert_eq!(det.clusters().cluster_count(), 1);
 
-        // Empty quanta (zero messages, not filler) until the burst falls
-        // out of the window.
-        for i in 1..=(cfg.window_quanta as u64) {
-            let summary = det.process_quantum(&Quantum {
-                index: i,
-                messages: Vec::new(),
-            });
-            assert_eq!(summary.messages, 0);
-            // While the burst is still inside the window the cluster keeps
-            // being reported; once it slides out, nothing is.
-            if i >= cfg.window_quanta as u64 {
-                assert!(summary.events.is_empty(), "{mode:?}: quantum {i}");
-            }
+    // Empty quanta (zero messages, not filler) until the burst falls out
+    // of the window.
+    for i in 1..=(cfg.window_quanta as u64) {
+        let summary = det.process_quantum(&Quantum {
+            index: i,
+            messages: Vec::new(),
+        });
+        assert_eq!(summary.messages, 0);
+        // While the burst is still inside the window the cluster keeps
+        // being reported; once it slides out, nothing is.
+        if i >= cfg.window_quanta as u64 {
+            assert!(summary.events.is_empty(), "quantum {i}");
         }
-        assert_eq!(
-            det.quanta_processed(),
-            1 + cfg.window_quanta as u64,
-            "{mode:?}: every empty quantum must count"
-        );
-        assert_eq!(
-            det.clusters().cluster_count(),
-            0,
-            "{mode:?}: stale keywords must dissolve the cluster"
-        );
-        assert_eq!(
-            det.akg().node_count(),
-            0,
-            "{mode:?}: stale keywords must leave the AKG"
-        );
     }
+    assert_eq!(
+        det.quanta_processed(),
+        1 + cfg.window_quanta as u64,
+        "every empty quantum must count"
+    );
+    assert_eq!(
+        det.clusters().cluster_count(),
+        0,
+        "stale keywords must dissolve the cluster"
+    );
+    assert_eq!(
+        det.akg().node_count(),
+        0,
+        "stale keywords must leave the AKG"
+    );
 }
 
 /// A stream that *starts* with empty quanta must not disturb later

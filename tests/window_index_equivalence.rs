@@ -1,30 +1,45 @@
-//! The incremental window index's contract: for any trace, window length
-//! and parallelism profile, `WindowIndexMode::Incremental` (refcounted
-//! window user multisets + merged per-quantum sub-sketches) emits
-//! **bit-identical** output to `WindowIndexMode::Rebuild` (walk all `w`
-//! quanta per read).  Identity is checked at two levels: the full
-//! `QuantumSummary` stream (events, ranks, AKG delta statistics) through
-//! the detector, and the raw window reads (sketches, user sets, counts,
-//! recency) through `WindowState` itself under seeded ChaCha8 workloads.
+//! The incremental window index's contract: refcounted window user
+//! multisets and merged per-quantum sub-sketches serve **bit-identical**
+//! reads to the record walk (all `w` quanta per read), the single
+//! from-scratch reference.  Identity is checked at two levels: the raw
+//! window reads (sketches, user sets, counts, recency) through
+//! `WindowState` itself under seeded ChaCha8 workloads, against a window
+//! that materializes nothing; and the detector, whose
+//! `validate_invariants` recomputes every index entry with the record walk
+//! after every quantum, for any trace, window length and parallelism
+//! profile.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use dengraph_core::keyword_state::{QuantumRecord, WindowState};
-use dengraph_core::{
-    DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary, WindowIndexMode,
-};
+use dengraph_core::{DetectorBuilder, DetectorConfig, Parallelism, QuantumSummary};
 use dengraph_minhash::UserHasher;
 use dengraph_stream::generator::profiles::{es_profile, tw_profile, ProfileScale};
 use dengraph_stream::{Message, StreamGenerator, Trace, UserId};
 use dengraph_text::KeywordId;
 
-fn run(trace: &Trace, config: &DetectorConfig) -> Vec<QuantumSummary> {
+/// Runs `trace` one quantum at a time, checking the window index against
+/// the record walk (and every other invariant) after each quantum.
+/// Returns the summaries and the final long-term event records.
+fn run(trace: &Trace, config: &DetectorConfig) -> (Vec<QuantumSummary>, String) {
     let mut detector = DetectorBuilder::from_config(config.clone())
         .interner(trace.interner.clone())
         .build()
         .expect("valid config");
-    detector.run(&trace.messages)
+    let mut summaries = Vec::new();
+    for chunk in trace.messages.chunks(config.quantum_size) {
+        summaries.extend(detector.run(chunk));
+        if let Err(e) = detector.validate_invariants() {
+            panic!(
+                "{}: invariant violated after quantum {}: {e}",
+                trace.profile_name,
+                summaries.len()
+            );
+        }
+    }
+    let records = format!("{:#?}", detector.event_records());
+    (summaries, records)
 }
 
 /// Byte-level comparison of everything a summary reports (Debug output
@@ -43,27 +58,14 @@ fn incremental_matches_rebuild_across_window_sizes_and_parallelism() {
     for trace in &traces {
         for window_quanta in [4usize, 12, 20] {
             let base = DetectorConfig::nominal().with_window_quanta(window_quanta);
-            let rebuild = run(
-                trace,
-                &base
-                    .clone()
-                    .with_window_index_mode(WindowIndexMode::Rebuild),
+            let (serial, _) = run(trace, &base);
+            let (parallel, _) = run(trace, &base.with_parallelism(Parallelism::Threads(4)));
+            assert_eq!(
+                canonical(&serial),
+                canonical(&parallel),
+                "{}: Threads(4) diverged from Serial at w={window_quanta}",
+                trace.profile_name
             );
-            for parallelism in [Parallelism::Serial, Parallelism::Threads(4)] {
-                let incremental = run(
-                    trace,
-                    &base
-                        .clone()
-                        .with_window_index_mode(WindowIndexMode::Incremental)
-                        .with_parallelism(parallelism),
-                );
-                assert_eq!(
-                    canonical(&rebuild),
-                    canonical(&incremental),
-                    "{}: incremental({parallelism}) diverged from rebuild at w={window_quanta}",
-                    trace.profile_name
-                );
-            }
         }
     }
 }
@@ -75,62 +77,38 @@ fn exact_edge_correlation_ablation_matches_across_modes() {
         exact_edge_correlation: true,
         ..DetectorConfig::nominal().with_window_quanta(12)
     };
-    let rebuild = run(
-        &trace,
-        &base
-            .clone()
-            .with_window_index_mode(WindowIndexMode::Rebuild),
-    );
-    let incremental = run(
-        &trace,
-        &base.with_window_index_mode(WindowIndexMode::Incremental),
-    );
-    assert_eq!(canonical(&rebuild), canonical(&incremental));
+    let (serial, _) = run(&trace, &base);
+    let (parallel, _) = run(&trace, &base.with_parallelism(Parallelism::Threads(4)));
+    assert_eq!(canonical(&serial), canonical(&parallel));
 }
 
 #[test]
 fn long_term_event_records_match_across_modes() {
     let trace = StreamGenerator::new(es_profile(44, ProfileScale::Small)).generate();
-    let records = |mode: WindowIndexMode| {
-        let config = DetectorConfig::nominal()
-            .with_window_quanta(12)
-            .with_window_index_mode(mode);
-        let mut det = DetectorBuilder::from_config(config)
-            .interner(trace.interner.clone())
-            .build()
-            .expect("valid config");
-        det.run(&trace.messages);
-        format!("{:#?}", det.event_records())
-    };
+    let config = DetectorConfig::nominal().with_window_quanta(12);
+    let (_, serial) = run(&trace, &config);
+    let (_, parallel) = run(&trace, &config.with_parallelism(Parallelism::Threads(4)));
     assert_eq!(
-        records(WindowIndexMode::Rebuild),
-        records(WindowIndexMode::Incremental),
-        "long-term event records diverged between window index modes"
+        serial, parallel,
+        "long-term event records diverged between Serial and Threads(4)"
     );
 }
 
-/// Raw window reads under random workloads: one window per mode fed the
-/// same seeded ChaCha8 record stream, every per-keyword read compared
-/// after every slide.  This pins the *sketch* identity directly (the
-/// detector-level tests only observe sketches through admitted edges).
+/// Raw window reads under random workloads: an indexed window and a
+/// record-walk window (materialization threshold `usize::MAX`, so no
+/// keyword is ever indexed) fed the same seeded ChaCha8 record stream,
+/// every per-keyword read compared after every slide.  This pins the
+/// *sketch* identity directly (the detector-level tests only observe
+/// sketches through admitted edges).
 #[test]
 fn window_reads_are_bit_identical_under_random_workloads() {
     for case in 0..24u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0x71D0_0000 + case);
         let capacity = rng.gen_range(1..8usize);
         let sketch_size = rng.gen_range(2..20usize);
-        let mut rebuild = WindowState::with_mode(
-            capacity,
-            sketch_size,
-            UserHasher::new(0xBEEF),
-            WindowIndexMode::Rebuild,
-        );
-        let mut incremental = WindowState::with_mode(
-            capacity,
-            sketch_size,
-            UserHasher::new(0xBEEF),
-            WindowIndexMode::Incremental,
-        );
+        let mut walk = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF))
+            .with_materialize_threshold(usize::MAX);
+        let mut incremental = WindowState::new(capacity, sketch_size, UserHasher::new(0xBEEF));
         let quanta = rng.gen_range(5..20u64);
         for q in 0..quanta {
             // Occasionally an entirely empty quantum: pure slide.
@@ -149,12 +127,15 @@ fn window_reads_are_bit_identical_under_random_workloads() {
                 })
                 .collect();
             let record = QuantumRecord::from_messages(q, &messages);
-            rebuild.push(record.clone());
+            walk.push(record.clone());
             incremental.push(record);
+            incremental
+                .validate_invariants()
+                .unwrap_or_else(|e| panic!("case {case}: quantum {q}: {e}"));
 
             assert_eq!(
                 {
-                    let mut k: Vec<KeywordId> = rebuild.keywords_in_window().into_iter().collect();
+                    let mut k: Vec<KeywordId> = walk.keywords_in_window().into_iter().collect();
                     k.sort_unstable();
                     k
                 },
@@ -168,33 +149,34 @@ fn window_reads_are_bit_identical_under_random_workloads() {
             );
             // Probe every keyword in the universe, including absent ones.
             for kw in (0..10u32).map(KeywordId) {
+                assert!(walk.window_sketch_ref(kw).is_none());
                 assert_eq!(
-                    rebuild.window_sketch(kw),
+                    walk.window_sketch(kw),
                     incremental.window_sketch(kw),
                     "case {case}: sketch diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
-                    rebuild.window_user_set(kw),
+                    walk.window_user_set(kw),
                     incremental.window_user_set(kw),
                     "case {case}: user set diverged for {kw:?} at quantum {q}"
                 );
                 assert_eq!(
-                    rebuild.window_user_count(kw),
+                    walk.window_user_count(kw),
                     incremental.window_user_count(kw)
                 );
-                assert_eq!(rebuild.last_seen(kw), incremental.last_seen(kw));
-                assert_eq!(rebuild.is_stale(kw), incremental.is_stale(kw));
+                assert_eq!(walk.last_seen(kw), incremental.last_seen(kw));
+                assert_eq!(walk.is_stale(kw), incremental.is_stale(kw));
             }
             // And the pairwise correlations the AKG consumes.
             for a in (0..10u32).map(KeywordId) {
                 for b in (a.0 + 1..10u32).map(KeywordId) {
                     assert!(
-                        rebuild.estimated_edge_correlation(a, b)
+                        walk.estimated_edge_correlation(a, b)
                             == incremental.estimated_edge_correlation(a, b),
                         "case {case}: estimated EC diverged for ({a:?},{b:?})"
                     );
                     assert!(
-                        rebuild.exact_edge_correlation(a, b)
+                        walk.exact_edge_correlation(a, b)
                             == incremental.exact_edge_correlation(a, b),
                         "case {case}: exact EC diverged for ({a:?},{b:?})"
                     );
